@@ -34,8 +34,8 @@ type CampaignConfig struct {
 	Workers int
 	// Executor selects the execution backend for every fuzzing and
 	// differential run in the campaign. Nil keeps the in-process default
-	// (byte-identical results, pinned by the determinism tests); a
-	// subprocess executor gives each target execution its own process so
+	// (byte-identical results, pinned by the determinism tests); the
+	// pool executor runs target executions in child processes so
 	// substrate deaths become classified harness faults.
 	Executor exec.Executor
 	// OnFinding, when non-nil, observes every detected finding occurrence

@@ -8,10 +8,12 @@
 //     zero-configuration default and is byte-identical to calling the
 //     jvm package, so every experiment table and determinism test pins
 //     it.
-//   - Subprocess shells each execution out to a `minijvm -exec-json`
-//     child, giving OS-level fault isolation: a panic, hang, or runaway
-//     allocation in the substrate kills only the child, and the exit
-//     status is classified into the harness.FaultClass taxonomy.
+//   - Pool drives `minijvm -exec-serve` children over one batched wire
+//     protocol (WireVersion), giving OS-level fault isolation: a panic,
+//     hang, or runaway allocation in the substrate kills only the child,
+//     and the death is classified into the harness.FaultClass taxonomy.
+//     Children stay warm across executions; RecycleAfter 1 gives a
+//     fresh child per execution instead.
 //
 // The split mirrors the paper's setup — MopFuzzer drives external JVM
 // processes whose deaths ARE the crash oracle — and is the seam for the
@@ -20,6 +22,11 @@ package exec
 
 import (
 	"context"
+	"fmt"
+	"os"
+	osexec "os/exec"
+	"strings"
+	"time"
 
 	"repro/internal/jit"
 	"repro/internal/jvm"
@@ -72,7 +79,7 @@ func (InProcess) ExecutePlanDifferential(_ context.Context, p *lang.Program, spe
 // Backends lists the recognized -backend names ("" is the in-process
 // default). Shared by every layer that validates a backend choice — the
 // CLI flags, the service JobSpec, and the fleet worker config.
-func Backends() []string { return []string{"inprocess", "subprocess", "pool"} }
+func Backends() []string { return []string{"inprocess", "pool"} }
 
 // ValidBackend reports whether name selects a known backend ("" counts:
 // it inherits the caller's default).
@@ -86,6 +93,63 @@ func ValidBackend(name string) bool {
 		}
 	}
 	return false
+}
+
+// FindMinijvm resolves the minijvm binary: an explicit path wins, then
+// the MINIJVM environment variable, then $PATH lookup.
+func FindMinijvm(explicit string) (string, error) {
+	if explicit != "" {
+		if _, err := os.Stat(explicit); err != nil {
+			return "", fmt.Errorf("exec: minijvm binary: %w", err)
+		}
+		return explicit, nil
+	}
+	if p := os.Getenv("MINIJVM"); p != "" {
+		if _, err := os.Stat(p); err != nil {
+			return "", fmt.Errorf("exec: $MINIJVM: %w", err)
+		}
+		return p, nil
+	}
+	p, err := osexec.LookPath("minijvm")
+	if err != nil {
+		return "", fmt.Errorf("exec: minijvm not found (build it with `go build ./cmd/minijvm` and pass -minijvm or set $MINIJVM): %w", err)
+	}
+	return p, nil
+}
+
+// PoolTuning is the optional pool-shape subset of the CLI surface:
+// zero values keep PoolConfig defaults.
+type PoolTuning struct {
+	Children          int
+	RecycleAfter      int64
+	MaxChildHeapBytes uint64
+}
+
+// FromFlags resolves the shared -backend/-minijvm/-child-timeout CLI
+// surface: "" or "inprocess" selects the nil (in-process, byte-identical
+// default) executor; "pool" locates the minijvm binary and builds the
+// child pool (shaped by the optional tuning — callers without pool
+// flags omit it and get the defaults). Callers should CloseExecutor the
+// result when done so pooled children don't outlive the campaign.
+func FromFlags(backend, minijvmPath string, childTimeout time.Duration, tuning ...PoolTuning) (Executor, error) {
+	switch backend {
+	case "", "inprocess":
+		return nil, nil
+	case "pool":
+		path, err := FindMinijvm(minijvmPath)
+		if err != nil {
+			return nil, err
+		}
+		cfg := PoolConfig{Path: path, Timeout: childTimeout}
+		if len(tuning) > 0 {
+			cfg.Children = tuning[0].Children
+			cfg.RecycleAfter = tuning[0].RecycleAfter
+			cfg.MaxChildHeapBytes = tuning[0].MaxChildHeapBytes
+		}
+		return NewPool(cfg), nil
+	default:
+		return nil, fmt.Errorf("unknown -backend %q (want %s)", backend, strings.Join(Backends(), " or "))
+	}
 }
 
 // Default is the executor used when none is configured.

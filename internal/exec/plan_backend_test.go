@@ -13,11 +13,12 @@ import (
 )
 
 // TestPlanDifferentialBackendEquivalence: the plan-vs-plan oracle must
-// produce byte-identical differentials on all three backends — same
-// groups, same per-plan results, same PlanID provenance — so campaign
-// findings do not depend on how executions are dispatched.
+// produce byte-identical differentials in-process, on a fresh child per
+// execution ("subprocess"), and on the warm pool — same groups, same
+// per-plan results, same PlanID provenance — so campaign findings do
+// not depend on how executions are dispatched.
 func TestPlanDifferentialBackendEquivalence(t *testing.T) {
-	sub := subprocessBackend(t)
+	sub := poolBackend(t, freshChild)
 	pool := poolBackend(t, exec.PoolConfig{})
 
 	seed := corpus.DefaultPool(1, 9)[0]

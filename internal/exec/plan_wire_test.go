@@ -1,14 +1,11 @@
 package exec
 
 import (
-	"bytes"
 	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/buginject"
-	"repro/internal/harness"
 	"repro/internal/jit"
 	"repro/internal/jvm"
 	"repro/internal/lang"
@@ -46,17 +43,7 @@ func TestRequestPlanRoundTrip(t *testing.T) {
 	if decoded.Options.Plan == nil || decoded.Options.Plan.Fingerprint() != plan.Fingerprint() {
 		t.Fatalf("plan did not survive the wire: %+v", decoded.Options.Plan)
 	}
-
-	var in, out bytes.Buffer
-	in.Write(data)
-	in.WriteByte('\n')
-	if err := Serve(&in, &out); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := json.NewDecoder(&out).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
+	resp := serveOne(t, req)
 	if resp.Error != "" {
 		t.Fatalf("in-band error: %s", resp.Error)
 	}
@@ -66,108 +53,5 @@ func TestRequestPlanRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("plan-bearing wire round trip diverged\n got: %+v\nwant: %+v", got, want)
-	}
-}
-
-// TestChildRejectsPlanBelowPlanWireVersion: a plan riding a request
-// pinned to a pre-plan wire version must be refused in-band, never
-// silently executed under the fixed pipeline.
-func TestChildRejectsPlanBelowPlanWireVersion(t *testing.T) {
-	req, err := NewRequest(wireProg(t), jvm.Reference(),
-		jvm.Options{ForceCompile: true, Plan: jit.GeneratePlan(1, jit.PlanMinimal)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Version = PlanWireVersion - 1
-	resp := req.Run()
-	if resp.Error == "" || !strings.Contains(resp.Error, "compilation plan") {
-		t.Errorf("want in-band plan-version error, got %+v", resp)
-	}
-	if resp.Result != nil {
-		t.Error("rejected request still produced a result")
-	}
-
-	// The same request without a plan is fine at the old version: plan-free
-	// traffic keeps flowing to older children.
-	plain, err := NewRequest(wireProg(t), jvm.Reference(), jvm.Options{ForceCompile: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain.Version = PlanWireVersion - 1
-	if resp := plain.Run(); resp.Error != "" {
-		t.Errorf("plan-free request rejected at old version: %s", resp.Error)
-	}
-}
-
-// TestPlanVersionFault: the parent must refuse to send plan-bearing
-// requests to a serve child whose hello negotiates below the plan wire
-// version — a classified, non-silent fault naming the remedy.
-func TestPlanVersionFault(t *testing.T) {
-	planned, err := NewRequest(wireProg(t), jvm.Reference(),
-		jvm.Options{ForceCompile: true, Plan: jit.GeneratePlan(1, jit.PlanFull)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := NewRequest(wireProg(t), jvm.Reference(), jvm.Options{ForceCompile: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	old := ServerHello{Version: PlanWireVersion - 1, MinVersion: MinWireVersion, PID: 42}
-	f := planVersionFault(old, []*Request{plain, planned})
-	if f == nil {
-		t.Fatal("old child accepted a plan-bearing batch")
-	}
-	if f.Class != harness.FaultHarness {
-		t.Errorf("fault class = %v, want %v", f.Class, harness.FaultHarness)
-	}
-	for _, want := range []string{"wire", "plan", "rebuild"} {
-		if !strings.Contains(f.Message, want) {
-			t.Errorf("fault message missing %q: %s", want, f.Message)
-		}
-	}
-	if planVersionFault(old, []*Request{plain}) != nil {
-		t.Error("plan-free batch faulted on an old child")
-	}
-	current := ServerHello{Version: WireVersion, MinVersion: MinWireVersion, PID: 42}
-	if planVersionFault(current, []*Request{planned}) != nil {
-		t.Error("current child faulted on a plan-bearing batch")
-	}
-}
-
-// TestNegotiateVersionCapsAtChildDialect: batch and request versions
-// are downgraded to an older child's dialect so plan-free traffic still
-// flows (all post-v1 request fields are omitempty).
-func TestNegotiateVersionCapsAtChildDialect(t *testing.T) {
-	mk := func() []*Request {
-		r1, err := NewRequest(wireProg(t), jvm.Reference(), jvm.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := NewRequest(wireProg(t), jvm.Reference(), jvm.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []*Request{r1, r2}
-	}
-
-	reqs := mk()
-	if v := negotiateVersion(ServerHello{Version: 2, MinVersion: 1}, reqs); v != 2 {
-		t.Errorf("negotiated %d with a v2 child, want 2", v)
-	}
-	for i, r := range reqs {
-		if r.Version != 2 {
-			t.Errorf("request %d version = %d, want 2", i, r.Version)
-		}
-	}
-
-	reqs = mk()
-	if v := negotiateVersion(ServerHello{Version: WireVersion + 5, MinVersion: 1}, reqs); v != WireVersion {
-		t.Errorf("negotiated %d with a newer child, want %d", v, WireVersion)
-	}
-	for i, r := range reqs {
-		if r.Version != WireVersion {
-			t.Errorf("request %d version = %d, want %d", i, r.Version, WireVersion)
-		}
 	}
 }

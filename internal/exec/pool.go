@@ -10,6 +10,7 @@ import (
 	"io"
 	osexec "os/exec"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,20 +67,21 @@ func (c *PoolConfig) maxHeap() uint64 {
 	return 256 << 20
 }
 
-// Pool is the warm-child execution backend: a bounded set of persistent
-// `minijvm -exec-serve` children, each handling NDJSON batches of
-// executions over its lifetime instead of one execution per spawn. A
-// differential rides a single batch (one request per spec, one round
-// trip) where the Subprocess backend paid one spawn per spec.
+// Pool is the out-of-process execution backend: a bounded set of
+// persistent `minijvm -exec-serve` children, each handling NDJSON
+// batches of executions over its lifetime instead of one execution per
+// spawn. A differential rides a single batch (one request per spec, one
+// round trip). RecycleAfter 1 degenerates to a fresh child per
+// execution, for callers who want no state to outlive a run.
 //
 // Children are recycled after RecycleAfter executions or when their
 // self-reported heap crosses MaxChildHeapBytes, so a leaky substrate
 // cannot bloat the fleet. A child dying or hanging mid-batch is
-// classified through the same BackendFault taxonomy as the Subprocess
-// backend; marker-less deaths (the SIGKILL shape) are retried once on a
-// fresh child before faulting, and only the in-flight batch is
-// affected. Results are byte-identical to the inprocess and subprocess
-// backends — the warm child's compile cache is transparent.
+// classified into the BackendFault taxonomy; marker-less deaths (the
+// SIGKILL shape) are retried once on a fresh child before faulting, and
+// only the in-flight batch is affected. Results are byte-identical to
+// the in-process backend — the warm child's compile cache is
+// transparent.
 //
 // Safe for concurrent use; children() batches proceed in parallel.
 type Pool struct {
@@ -105,6 +107,31 @@ type Pool struct {
 	recycledMem   atomic.Int64
 	killed        atomic.Int64
 	retries       atomic.Int64
+}
+
+// Stats is a snapshot of a Pool's counters.
+type Stats struct {
+	Executions  int64 // executions performed through the backend
+	Faults      int64 // executions classified as backend faults
+	ChildMicros int64 // cumulative child-reported wall time
+
+	Spawns        int64 // child processes actually spawned
+	SpawnsAvoided int64 // executions served without a fresh spawn
+	Batches       int64 // serve-mode round trips
+
+	RecycledByCount int64 // children retired at the execution budget
+	RecycledByMem   int64 // children retired at the heap high-water mark
+	Killed          int64 // children force-killed (timeouts, failures, Close)
+	Retries         int64 // batches retried on a fresh child
+}
+
+// MeanBatch is the average executions per serve-mode round trip — the
+// amortization the bench report pins (>1 means batching is real).
+func (st Stats) MeanBatch() float64 {
+	if st.Batches == 0 {
+		return 0
+	}
+	return float64(st.Executions) / float64(st.Batches)
 }
 
 // NewPool returns a warm-pool backend driving the given minijvm binary.
@@ -178,11 +205,10 @@ func (p *Pool) Close() error {
 
 // Execute implements Executor: a batch of one.
 func (p *Pool) Execute(ctx context.Context, prog *lang.Program, spec jvm.Spec, opt jvm.Options) (*jvm.ExecResult, error) {
-	req, err := NewRequest(prog, spec, opt)
+	req, err := p.request(prog, spec, opt)
 	if err != nil {
 		return nil, err
 	}
-	req.Inject = p.cfg.InjectFault
 	resps, err := p.runBatch(ctx, []*Request{req})
 	if err != nil {
 		return nil, err
@@ -191,17 +217,45 @@ func (p *Pool) Execute(ctx context.Context, prog *lang.Program, spec jvm.Spec, o
 }
 
 // ExecuteDifferential implements Executor: the whole differential — one
-// request per spec — rides a single batch round trip on one warm child,
-// where the Subprocess backend spawned one child per spec.
+// request per spec — rides a single batch round trip on one child.
 func (p *Pool) ExecuteDifferential(ctx context.Context, prog *lang.Program, specs []jvm.Spec, opt jvm.Options) (*jvm.Differential, error) {
-	reqs := make([]*Request, 0, len(specs))
-	for _, spec := range specs {
-		req, err := NewRequest(prog, spec, opt)
+	opts := make([]jvm.Options, len(specs))
+	for i := range opts {
+		opts[i] = opt
+	}
+	return p.differential(ctx, prog, specs, opts)
+}
+
+// ExecutePlanDifferential implements Executor: one spec, one request per
+// plan, all riding a single batch round trip on one child. Grouping and
+// PlanID provenance match jvm.RunPlanDifferential exactly.
+func (p *Pool) ExecutePlanDifferential(ctx context.Context, prog *lang.Program, spec jvm.Spec, plans []*jit.Plan, opt jvm.Options) (*jvm.Differential, error) {
+	specs := make([]jvm.Spec, len(plans))
+	opts := make([]jvm.Options, len(plans))
+	for i, plan := range plans {
+		specs[i], opts[i] = spec, opt
+		opts[i].Plan = plan
+	}
+	d, err := p.differential(ctx, prog, specs, opts)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range d.Results {
+		r.PlanID = jit.PlanID(plans[i])
+	}
+	return d, nil
+}
+
+// differential runs prog once per (specs[i], opts[i]) as one batch and
+// groups the outputs exactly like jvm.RunDifferential.
+func (p *Pool) differential(ctx context.Context, prog *lang.Program, specs []jvm.Spec, opts []jvm.Options) (*jvm.Differential, error) {
+	reqs := make([]*Request, len(specs))
+	for i := range specs {
+		req, err := p.request(prog, specs[i], opts[i])
 		if err != nil {
 			return nil, err
 		}
-		req.Inject = p.cfg.InjectFault
-		reqs = append(reqs, req)
+		reqs[i] = req
 	}
 	resps, err := p.runBatch(ctx, reqs)
 	if err != nil {
@@ -209,7 +263,7 @@ func (p *Pool) ExecuteDifferential(ctx context.Context, prog *lang.Program, spec
 	}
 	d := &jvm.Differential{Groups: map[string][]jvm.Spec{}}
 	for i, spec := range specs {
-		r, err := handleResponse(resps[i], spec, opt)
+		r, err := handleResponse(resps[i], spec, opts[i])
 		if err != nil {
 			return nil, err
 		}
@@ -220,44 +274,21 @@ func (p *Pool) ExecuteDifferential(ctx context.Context, prog *lang.Program, spec
 	return d, nil
 }
 
-// ExecutePlanDifferential implements Executor: one spec, one request per
-// plan, all riding a single batch round trip on one warm child. Grouping
-// matches jvm.RunPlanDifferential exactly.
-func (p *Pool) ExecutePlanDifferential(ctx context.Context, prog *lang.Program, spec jvm.Spec, plans []*jit.Plan, opt jvm.Options) (*jvm.Differential, error) {
-	reqs := make([]*Request, 0, len(plans))
-	for _, plan := range plans {
-		o := opt
-		o.Plan = plan
-		req, err := NewRequest(prog, spec, o)
-		if err != nil {
-			return nil, err
-		}
-		req.Inject = p.cfg.InjectFault
-		reqs = append(reqs, req)
-	}
-	resps, err := p.runBatch(ctx, reqs)
+// request builds the wire request for one execution, carrying the
+// configured fault injection.
+func (p *Pool) request(prog *lang.Program, spec jvm.Spec, opt jvm.Options) (*Request, error) {
+	req, err := NewRequest(prog, spec, opt)
 	if err != nil {
 		return nil, err
 	}
-	d := &jvm.Differential{Groups: map[string][]jvm.Spec{}}
-	for i, plan := range plans {
-		r, err := handleResponse(resps[i], spec, opt)
-		if err != nil {
-			return nil, err
-		}
-		r.PlanID = jit.PlanID(plan)
-		d.Results = append(d.Results, r)
-		key := r.Result.OutputString()
-		d.Groups[key] = append(d.Groups[key], spec)
-	}
-	return d, nil
+	req.Inject = p.cfg.InjectFault
+	return req, nil
 }
 
 // runBatch pushes one batch through a pooled child, retrying once on a
 // fresh child for marker-less deaths (SIGKILL shape, corrupt frames,
 // spawn races). Deterministic failures — deadline expiry, substrate
-// panics — are never retried, matching the Subprocess backend's
-// classification exactly.
+// panics, a wire-version mismatch — are never retried.
 func (p *Pool) runBatch(ctx context.Context, reqs []*Request) ([]*Response, error) {
 	for attempt := 0; ; attempt++ {
 		resps, retryable, err := p.tryBatch(ctx, reqs)
@@ -309,8 +340,8 @@ func (p *Pool) tryBatch(ctx context.Context, reqs []*Request) ([]*Response, bool
 		if err != nil {
 			p.slots <- nil
 			// Spawn failures are environmental (fd pressure, races with
-			// recycling) — worth one retry.
-			return nil, true, err
+			// recycling) — worth one retry. A stale binary is not.
+			return nil, !errors.Is(err, errWireMismatch), err
 		}
 		spawned = true
 		p.spawns.Add(1)
@@ -319,20 +350,11 @@ func (p *Pool) tryBatch(ctx context.Context, reqs []*Request) ([]*Response, bool
 		p.mu.Unlock()
 	}
 
-	if bf := planVersionFault(c.hello, reqs); bf != nil {
-		// The child is healthy, just too old for plans — restock it warm
-		// for plan-free traffic. Deterministic for this binary: never
-		// retried (tryBatch reports it non-retryable).
-		p.restock(c)
-		return nil, false, bf
-	}
-	v := negotiateVersion(c.hello, reqs)
-
 	deadline := time.Duration(0)
 	if p.cfg.Timeout > 0 {
 		deadline = p.cfg.Timeout * time.Duration(len(reqs))
 	}
-	resp, timedOut, err := c.roundTrip(ctx, deadline, &BatchRequest{Version: v, Requests: reqs})
+	resp, timedOut, err := c.roundTrip(ctx, deadline, &BatchRequest{Version: WireVersion, Requests: reqs})
 	if err != nil {
 		p.retire(c, true)
 		p.slots <- nil
@@ -379,6 +401,30 @@ func (p *Pool) tryBatch(ctx context.Context, reqs []*Request) ([]*Response, bool
 	return resp.Responses, false, nil
 }
 
+// handleResponse turns one wire Response into the parent-side
+// ExecResult: an in-band program rejection, or a decoded result with
+// its coverage merged into the caller's tracker.
+func handleResponse(resp *Response, spec jvm.Spec, opt jvm.Options) (*jvm.ExecResult, error) {
+	if resp.Error != "" {
+		// In-band program-level rejection: surface the exact jvm.Run
+		// error text so both backends report identical seed errors.
+		return nil, errors.New(resp.Error)
+	}
+	if resp.Result == nil {
+		return nil, fmt.Errorf("exec: minijvm child sent neither result nor error")
+	}
+	res, err := decodeRun(resp.Result, spec)
+	if err != nil {
+		return nil, err
+	}
+	if opt.Coverage != nil {
+		for _, name := range resp.Result.CoverageHits {
+			opt.Coverage.Hit(name)
+		}
+	}
+	return res, nil
+}
+
 // restock returns a healthy child to the pool warm. It happens under the
 // lock so a concurrent Close either sees this child in the channel (and
 // kills it during its drain) or we see closed here and retire it
@@ -418,8 +464,12 @@ type poolChild struct {
 	waitErr  error
 }
 
+// errWireMismatch marks a child whose hello announces a wire version
+// other than WireVersion: a stale binary, never worth a retry.
+var errWireMismatch = errors.New("wire version mismatch")
+
 // spawnChild starts a serve-mode child and completes the hello
-// handshake, enforcing version-range overlap.
+// handshake, which must announce exactly WireVersion.
 func spawnChild(path string) (*poolChild, error) {
 	cmd := osexec.Command(path, "-exec-serve")
 	stdin, err := cmd.StdinPipe()
@@ -444,10 +494,10 @@ func spawnChild(path string) (*poolChild, error) {
 		c.shutdown(true)
 		return nil, fmt.Errorf("exec: serve child hello: %w", err)
 	}
-	if !c.hello.Compatible() {
+	if c.hello.Version != WireVersion {
 		c.shutdown(true)
-		return nil, fmt.Errorf("exec: serve child speaks wire %d..%d, parent speaks %d..%d (rebuild the binary)",
-			c.hello.MinVersion, c.hello.Version, MinWireVersion, WireVersion)
+		return nil, fmt.Errorf("exec: %w: %s speaks wire %d, parent speaks %d (rebuild the binary)",
+			errWireMismatch, path, c.hello.Version, WireVersion)
 	}
 	return c, nil
 }
@@ -483,7 +533,7 @@ func (c *poolChild) roundTrip(ctx context.Context, deadline time.Duration, batch
 			done <- outcome{err: fmt.Errorf("corrupt batch frame: %w", uerr)}
 			return
 		}
-		if br.Version < MinWireVersion || br.Version > WireVersion {
+		if br.Version != WireVersion {
 			done <- outcome{err: fmt.Errorf("batch response wire version %d", br.Version)}
 			return
 		}
@@ -571,5 +621,94 @@ func readLineTimeout(r *bufio.Reader, d time.Duration) ([]byte, error) {
 		return x.line, x.err
 	case <-time.After(d):
 		return nil, errors.New("timed out")
+	}
+}
+
+// panicFault classifies a dead child whose stderr carries a Go panic
+// marker, blaming the component from the child's stack. Returns nil for
+// marker-less deaths (signal kills, abrupt exits), which the pool treats
+// as retryable where a panic is deterministic and is not.
+func panicFault(stderr string, code int) *BackendFault {
+	for _, marker := range []string{"panic:", "fatal error:"} {
+		i := strings.Index(stderr, marker)
+		if i < 0 {
+			continue
+		}
+		msg := stderr[i:]
+		if nl := strings.IndexByte(msg, '\n'); nl >= 0 {
+			msg = msg[:nl]
+		}
+		return &BackendFault{
+			Class:     harness.FaultHarness,
+			Component: harness.ComponentFromStack(stderr),
+			Message:   strings.TrimSpace(msg),
+			ExitCode:  code,
+			Stderr:    stderr,
+			panicked:  true,
+		}
+	}
+	return nil
+}
+
+// classifyServeFailure maps a failed serve-mode round trip onto the
+// fault taxonomy. Precedence: caller cancellation is nobody's fault, a
+// deadline kill is FaultTimeout, a panic marker on stderr is
+// FaultHarness with component blame, and anything else — EOF, corrupt
+// frame, signal death — is a marker-less FaultHarness.
+func classifyServeFailure(ctx context.Context, timedOut bool, deadline time.Duration, c *poolChild, err error) error {
+	if ctx.Err() != nil {
+		return ctx.Err()
+	}
+	if timedOut {
+		return &BackendFault{
+			Class:   harness.FaultTimeout,
+			Message: fmt.Sprintf("minijvm serve child (pid %d) exceeded the %s batch deadline and was killed", c.hello.PID, deadline),
+			Stderr:  c.stderrText(),
+		}
+	}
+	stderr := c.stderrText()
+	if bf := panicFault(stderr, c.exitCode()); bf != nil {
+		bf.Message = fmt.Sprintf("minijvm serve child (pid %d) died: %s", c.hello.PID, bf.Message)
+		return bf
+	}
+	return &BackendFault{
+		Class:    harness.FaultHarness,
+		Message:  fmt.Sprintf("minijvm serve child (pid %d) failed mid-batch: %v", c.hello.PID, err),
+		ExitCode: c.exitCode(),
+		Stderr:   stderr,
+	}
+}
+
+// BackendFault is a child-process death classified into the harness
+// taxonomy. It implements harness.Faulter, so a supervised task
+// surfacing it is recorded as a first-class fault — process-level
+// containment composing with the supervisor's panic containment.
+type BackendFault struct {
+	Class     harness.FaultClass
+	Component string
+	Message   string
+	ExitCode  int
+	Stderr    string
+
+	// panicked marks a death with a Go panic marker on stderr — a
+	// deterministic substrate failure the pool must not retry (it would
+	// just panic again), unlike the SIGKILL-shaped deaths it retries
+	// once on a fresh child.
+	panicked bool
+}
+
+// Error implements error.
+func (f *BackendFault) Error() string {
+	return fmt.Sprintf("exec: %s: %s", f.Class, f.Message)
+}
+
+// HarnessFault implements harness.Faulter. The child's stderr (which
+// holds the goroutine stack for panics) travels as the fault's stack.
+func (f *BackendFault) HarnessFault() *harness.Fault {
+	return &harness.Fault{
+		Class:     f.Class,
+		Component: f.Component,
+		Message:   f.Message,
+		Stack:     f.Stderr,
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -34,11 +35,22 @@ func poolBackend(t *testing.T, cfg exec.PoolConfig) *exec.Pool {
 	return p
 }
 
+// freshChild shapes a pool to spawn a fresh child for every execution
+// (`-pool-recycle-after 1`): no compile cache or heap outlives a run.
+// Each TestSubprocessX test runs its TestPoolX twin's body in this
+// shape, so both the warm and the one-child-per-execution pools are
+// pinned against the in-process backend.
+var freshChild = exec.PoolConfig{Children: 1, RecycleAfter: 1}
+
 // TestPoolMatchesInProcess is the per-execution equivalence table: the
-// warm pool — compile cache and all — must reproduce the in-process
-// ExecResult exactly, across consecutive executions on the same child.
-func TestPoolMatchesInProcess(t *testing.T) {
-	pool := poolBackend(t, exec.PoolConfig{})
+// pool — warm compile cache and all — must reproduce the in-process
+// ExecResult exactly, across consecutive executions.
+func TestPoolMatchesInProcess(t *testing.T) { testMatchesInProcess(t, exec.PoolConfig{}) }
+
+func TestSubprocessMatchesInProcess(t *testing.T) { testMatchesInProcess(t, freshChild) }
+
+func testMatchesInProcess(t *testing.T, cfg exec.PoolConfig) {
+	pool := poolBackend(t, cfg)
 	seeds := corpus.DefaultPool(4, 3)
 	for _, tc := range []struct {
 		name string
@@ -77,10 +89,18 @@ func TestPoolMatchesInProcess(t *testing.T) {
 }
 
 // TestPoolDifferentialMatchesInProcess: a full differential must ride
-// one batch on one warm child and still group exactly like
+// one batch on one child and still group exactly like
 // jvm.RunDifferential.
 func TestPoolDifferentialMatchesInProcess(t *testing.T) {
-	pool := poolBackend(t, exec.PoolConfig{})
+	testDifferentialMatchesInProcess(t, exec.PoolConfig{})
+}
+
+func TestSubprocessDifferentialMatchesInProcess(t *testing.T) {
+	testDifferentialMatchesInProcess(t, freshChild)
+}
+
+func testDifferentialMatchesInProcess(t *testing.T, cfg exec.PoolConfig) {
+	pool := poolBackend(t, cfg)
 	seed := corpus.DefaultPool(1, 9)[0]
 	p, err := lang.Parse(seed.Source)
 	if err != nil {
@@ -130,6 +150,22 @@ func poolCampaign(t *testing.T, ex exec.Executor, hcfg harness.Config, ctx conte
 	return res
 }
 
+var (
+	inProcessOnce sync.Once
+	inProcessRes  *core.CampaignResult
+)
+
+// inProcessCampaign is poolCampaign's in-process reference result,
+// computed once and shared (read-only) by every equivalence test.
+func inProcessCampaign(t *testing.T) *core.CampaignResult {
+	t.Helper()
+	inProcessOnce.Do(func() { inProcessRes = poolCampaign(t, nil, harness.Config{}, context.Background()) })
+	if inProcessRes == nil {
+		t.Fatal("in-process reference campaign failed")
+	}
+	return inProcessRes
+}
+
 func assertCampaignsIdentical(t *testing.T, label string, got, want *core.CampaignResult) {
 	t.Helper()
 	if got.Executions != want.Executions || got.SeedsFuzzed != want.SeedsFuzzed {
@@ -150,18 +186,17 @@ func assertCampaignsIdentical(t *testing.T, label string, got, want *core.Campai
 	}
 }
 
-// TestPoolCampaignEquivalence is the three-backend byte-identity
-// acceptance test: inprocess ≡ subprocess ≡ pool on the same campaign,
-// with differentials enabled so batching is on the hot path.
-func TestPoolCampaignEquivalence(t *testing.T) {
-	pool := poolBackend(t, exec.PoolConfig{})
-	sub := subprocessBackend(t)
-	ctx := context.Background()
-	want := poolCampaign(t, nil, harness.Config{}, ctx)
-	gotSub := poolCampaign(t, sub, harness.Config{}, ctx)
-	gotPool := poolCampaign(t, pool, harness.Config{}, ctx)
-	assertCampaignsIdentical(t, "subprocess", gotSub, want)
-	assertCampaignsIdentical(t, "pool", gotPool, want)
+// TestPoolCampaignEquivalence is the backend byte-identity acceptance
+// test: pool ≡ inprocess on the same campaign, with differentials
+// enabled so batching is on the hot path.
+func TestPoolCampaignEquivalence(t *testing.T) { testCampaignEquivalence(t, exec.PoolConfig{}) }
+
+func TestSubprocessCampaignEquivalence(t *testing.T) { testCampaignEquivalence(t, freshChild) }
+
+func testCampaignEquivalence(t *testing.T, cfg exec.PoolConfig) {
+	pool := poolBackend(t, cfg)
+	got := poolCampaign(t, pool, harness.Config{}, context.Background())
+	assertCampaignsIdentical(t, "pool", got, inProcessCampaign(t))
 	if st := pool.Stats(); st.Executions == 0 {
 		t.Error("pool recorded no executions — campaign did not go through it")
 	}
@@ -172,10 +207,8 @@ func TestPoolCampaignEquivalence(t *testing.T) {
 // still be byte-identical — recycling is invisible to results.
 func TestPoolCampaignRecycleEquivalence(t *testing.T) {
 	pool := poolBackend(t, exec.PoolConfig{RecycleAfter: 5})
-	ctx := context.Background()
-	want := poolCampaign(t, nil, harness.Config{}, ctx)
-	got := poolCampaign(t, pool, harness.Config{}, ctx)
-	assertCampaignsIdentical(t, "pool-recycling", got, want)
+	got := poolCampaign(t, pool, harness.Config{}, context.Background())
+	assertCampaignsIdentical(t, "pool-recycling", got, inProcessCampaign(t))
 	st := pool.Stats()
 	if st.RecycledByCount == 0 {
 		t.Errorf("test is vacuous: no recycles at RecycleAfter=5 over %d executions", st.Executions)
@@ -193,7 +226,7 @@ func TestPoolCampaignCheckpointResumeEquivalence(t *testing.T) {
 	if minijvmPath == "" {
 		t.Skip("minijvm binary unavailable (-short or build failure)")
 	}
-	want := poolCampaign(t, nil, harness.Config{}, context.Background())
+	want := inProcessCampaign(t)
 
 	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt.json")
 	ctx, cancel := context.WithCancel(context.Background())
@@ -281,8 +314,13 @@ func TestPoolRecycleOnMemHighWater(t *testing.T) {
 // TestPoolClassifiesChildPanic: a substrate panic mid-batch is a
 // deterministic failure — classified FaultHarness with the child's
 // stack, and NOT retried (it would just panic again).
-func TestPoolClassifiesChildPanic(t *testing.T) {
-	pool := poolBackend(t, exec.PoolConfig{InjectFault: "panic"})
+func TestPoolClassifiesChildPanic(t *testing.T) { testClassifiesChildPanic(t, exec.PoolConfig{}) }
+
+func TestSubprocessClassifiesChildPanic(t *testing.T) { testClassifiesChildPanic(t, freshChild) }
+
+func testClassifiesChildPanic(t *testing.T, cfg exec.PoolConfig) {
+	cfg.InjectFault = "panic"
+	pool := poolBackend(t, cfg)
 	_, err := pool.Execute(context.Background(), wireTestProg(t), hotspot17(), jvm.Options{})
 	var bf *exec.BackendFault
 	if !errors.As(err, &bf) {
@@ -305,8 +343,13 @@ func TestPoolClassifiesChildPanic(t *testing.T) {
 
 // TestPoolClassifiesChildHang: a hung child trips the batch deadline,
 // is killed, and classifies FaultTimeout — never retried.
-func TestPoolClassifiesChildHang(t *testing.T) {
-	pool := poolBackend(t, exec.PoolConfig{InjectFault: "hang", Timeout: 300 * time.Millisecond})
+func TestPoolClassifiesChildHang(t *testing.T) { testClassifiesChildHang(t, exec.PoolConfig{}) }
+
+func TestSubprocessClassifiesChildHang(t *testing.T) { testClassifiesChildHang(t, freshChild) }
+
+func testClassifiesChildHang(t *testing.T, cfg exec.PoolConfig) {
+	cfg.InjectFault, cfg.Timeout = "hang", 300*time.Millisecond
+	pool := poolBackend(t, cfg)
 	start := time.Now()
 	_, err := pool.Execute(context.Background(), wireTestProg(t), hotspot17(), jvm.Options{})
 	var bf *exec.BackendFault
@@ -324,10 +367,19 @@ func TestPoolClassifiesChildHang(t *testing.T) {
 	}
 }
 
-// TestPoolParentCancellationIsNotAFault mirrors the subprocess rule:
-// caller shutdown mid-batch is context.Canceled, not a fault.
+// TestPoolParentCancellationIsNotAFault: caller shutdown mid-batch is
+// context.Canceled, not a fault.
 func TestPoolParentCancellationIsNotAFault(t *testing.T) {
-	pool := poolBackend(t, exec.PoolConfig{InjectFault: "hang"})
+	testParentCancellationIsNotAFault(t, exec.PoolConfig{})
+}
+
+func TestSubprocessParentCancellationIsNotAFault(t *testing.T) {
+	testParentCancellationIsNotAFault(t, freshChild)
+}
+
+func testParentCancellationIsNotAFault(t *testing.T, cfg exec.PoolConfig) {
+	cfg.InjectFault = "hang"
+	pool := poolBackend(t, cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(100 * time.Millisecond); cancel() }()
 	_, err := pool.Execute(ctx, wireTestProg(t), hotspot17(), jvm.Options{})
@@ -419,11 +471,19 @@ func TestPoolCorruptFrameFaultsAfterRetry(t *testing.T) {
 	}
 }
 
-// TestPoolCampaignSurvivesBackendFault mirrors the subprocess
-// containment test on the pool: per-seed harness faults, no results,
-// campaign finishes cleanly.
+// TestPoolCampaignSurvivesBackendFault pins process-level containment:
+// a child that panics on every execution becomes per-seed harness
+// faults with seed attribution, no results, and the campaign itself
+// finishes cleanly.
 func TestPoolCampaignSurvivesBackendFault(t *testing.T) {
-	pool := poolBackend(t, exec.PoolConfig{InjectFault: "panic"})
+	testCampaignSurvivesBackendFault(t, exec.PoolConfig{})
+}
+
+func TestCampaignSurvivesBackendFault(t *testing.T) { testCampaignSurvivesBackendFault(t, freshChild) }
+
+func testCampaignSurvivesBackendFault(t *testing.T, pcfg exec.PoolConfig) {
+	pcfg.InjectFault = "panic"
+	pool := poolBackend(t, pcfg)
 	cfg := core.DefaultConfig(hotspot17())
 	cfg.DiffSpecs = nil
 	res, err := core.RunCampaignContext(context.Background(), core.CampaignConfig{
@@ -439,6 +499,11 @@ func TestPoolCampaignSurvivesBackendFault(t *testing.T) {
 	if len(res.Faults) == 0 {
 		t.Fatal("no faults recorded — pool child deaths were swallowed")
 	}
+	for _, f := range res.Faults {
+		if f.SeedName == "" {
+			t.Errorf("fault missing seed attribution: %+v", f)
+		}
+	}
 	if res.Executions != 0 || len(res.Findings) != 0 {
 		t.Errorf("faulting backend must not produce results: %d execs, %d findings", res.Executions, len(res.Findings))
 	}
@@ -446,8 +511,12 @@ func TestPoolCampaignSurvivesBackendFault(t *testing.T) {
 
 // TestPoolCrashRoundTrip: a simulated JVM crash crosses the batched
 // wire intact and is a result, not a backend fault.
-func TestPoolCrashRoundTrip(t *testing.T) {
-	pool := poolBackend(t, exec.PoolConfig{})
+func TestPoolCrashRoundTrip(t *testing.T) { testCrashRoundTrip(t, exec.PoolConfig{}) }
+
+func TestSubprocessCrashRoundTrip(t *testing.T) { testCrashRoundTrip(t, freshChild) }
+
+func testCrashRoundTrip(t *testing.T, cfg exec.PoolConfig) {
+	pool := poolBackend(t, cfg)
 	p, err := lang.Parse(crashSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -497,28 +566,27 @@ func TestPoolCloseUnblocksAndFailsExecutes(t *testing.T) {
 	}
 }
 
-// TestSubprocessDifferentialSingleSpawn pins the satellite fix: a
-// differential on the plain subprocess backend must use ONE serve-mode
-// child for every spec, not one spawn per spec.
+// TestSubprocessDifferentialSingleSpawn: recycling after every
+// execution never splits a batch — a whole differential still rides ONE
+// fresh child, and that child is retired once the batch is answered.
 func TestSubprocessDifferentialSingleSpawn(t *testing.T) {
-	sub := subprocessBackend(t)
+	pool := poolBackend(t, freshChild)
 	seed := corpus.DefaultPool(1, 9)[0]
 	p, err := lang.Parse(seed.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sub.ExecuteDifferential(context.Background(), p, jvm.AllSpecs(), jvm.Options{ForceCompile: true}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := pool.ExecuteDifferential(context.Background(), p, jvm.AllSpecs(), jvm.Options{ForceCompile: true}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	st := sub.Stats()
+	st := pool.Stats()
 	n := int64(len(jvm.AllSpecs()))
-	if st.Spawns != 1 {
-		t.Errorf("Spawns = %d, want 1 for a %d-spec differential", st.Spawns, n)
+	if st.Spawns != 2 || st.RecycledByCount != 2 {
+		t.Errorf("Spawns = %d, RecycledByCount = %d, want 2 each for two %d-spec differentials", st.Spawns, st.RecycledByCount, n)
 	}
-	if st.SpawnsAvoided != n-1 {
-		t.Errorf("SpawnsAvoided = %d, want %d", st.SpawnsAvoided, n-1)
-	}
-	if st.Executions != n {
-		t.Errorf("Executions = %d, want %d", st.Executions, n)
+	if st.SpawnsAvoided != 2*(n-1) || st.Executions != 2*n {
+		t.Errorf("SpawnsAvoided = %d, Executions = %d, want %d and %d", st.SpawnsAvoided, st.Executions, 2*(n-1), 2*n)
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // TestServeStreamHelloAndNegotiation pins the serve-mode handshake: the
-// child leads with a hello advertising [MinWireVersion, WireVersion],
-// answers an empty in-range batch, and rejects an out-of-range one.
+// child leads with a hello announcing WireVersion, answers an empty
+// batch at exactly that version, and rejects a batch at any other.
 func TestServeStreamHelloAndNegotiation(t *testing.T) {
 	batch := func(version int) string {
 		b, err := json.Marshal(&BatchRequest{Version: version})
@@ -33,11 +33,8 @@ func TestServeStreamHelloAndNegotiation(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &hello); err != nil {
 			t.Fatalf("hello not JSON: %v", err)
 		}
-		if hello.Version != WireVersion || hello.MinVersion != MinWireVersion {
-			t.Errorf("hello advertises %d..%d, want %d..%d", hello.MinVersion, hello.Version, MinWireVersion, WireVersion)
-		}
-		if !hello.Compatible() {
-			t.Error("own hello must be self-compatible")
+		if hello.Version != WireVersion {
+			t.Errorf("hello announces wire %d, want %d", hello.Version, WireVersion)
 		}
 		if hello.PID == 0 {
 			t.Error("hello missing pid")
@@ -58,10 +55,12 @@ func TestServeStreamHelloAndNegotiation(t *testing.T) {
 	})
 
 	t.Run("out-of-range", func(t *testing.T) {
-		var out bytes.Buffer
-		err := ServeStream(strings.NewReader(batch(WireVersion+1)), &out)
-		if err == nil || !strings.Contains(err.Error(), "wire version") {
-			t.Errorf("want wire-version error, got %v", err)
+		for _, v := range []int{WireVersion - 1, WireVersion + 1} {
+			var out bytes.Buffer
+			err := ServeStream(strings.NewReader(batch(v)), &out)
+			if err == nil || !strings.Contains(err.Error(), "wire version") {
+				t.Errorf("batch at wire %d: want wire-version error, got %v", v, err)
+			}
 		}
 	})
 
@@ -86,9 +85,8 @@ func TestServeStreamHelloAndNegotiation(t *testing.T) {
 // accounting.
 func TestServeStreamExecutesBatch(t *testing.T) {
 	req := &Request{
-		Version: WireVersion,
-		Spec:    "openjdk-17",
-		Source:  "class T { static void main() { print(7); } }",
+		Spec:   "openjdk-17",
+		Source: "class T { static void main() { print(7); } }",
 	}
 	b, err := json.Marshal(&BatchRequest{Version: WireVersion, Requests: []*Request{req, req}})
 	if err != nil {

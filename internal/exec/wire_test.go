@@ -2,13 +2,19 @@ package exec
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/buginject"
 	"repro/internal/coverage"
+	"repro/internal/harness"
 	"repro/internal/jit"
 	"repro/internal/jvm"
 	"repro/internal/lang"
@@ -43,6 +49,30 @@ func wireProg(t *testing.T) *lang.Program {
 	return p
 }
 
+// serveOne pushes req through a real JSON round trip, exactly what a
+// pool child does: one batch frame into ServeStream, one response out.
+func serveOne(t *testing.T, req *Request) *Response {
+	t.Helper()
+	frame, err := json.Marshal(&BatchRequest{Version: WireVersion, Requests: []*Request{req}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := ServeStream(bytes.NewReader(append(frame, '\n')), &out); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(&out)
+	var hello ServerHello
+	var batch BatchResponse
+	if err := dec.Decode(&hello); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Decode(&batch); err != nil || len(batch.Responses) != 1 {
+		t.Fatalf("batch response: %+v, %v", batch, err)
+	}
+	return batch.Responses[0]
+}
+
 // TestWireRoundTrip pins the tentpole's core invariant: an execution
 // that crosses the wire (request encode -> child Run -> response encode
 // -> parent decode) reconstructs the exact ExecResult jvm.Run produces
@@ -67,18 +97,7 @@ func TestWireRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Force a real JSON round trip, exactly what the subprocess does.
-		var in, out bytes.Buffer
-		if err := json.NewEncoder(&in).Encode(req); err != nil {
-			t.Fatal(err)
-		}
-		if err := Serve(&in, &out); err != nil {
-			t.Fatal(err)
-		}
-		var resp Response
-		if err := json.NewDecoder(&out).Decode(&resp); err != nil {
-			t.Fatal(err)
-		}
+		resp := serveOne(t, req)
 		if resp.Error != "" {
 			t.Fatalf("in-band error: %s", resp.Error)
 		}
@@ -117,7 +136,7 @@ func TestWireCoverageHits(t *testing.T) {
 
 func TestWireProgramErrorInBand(t *testing.T) {
 	spec := jvm.Spec{Impl: buginject.HotSpot, Version: 17}
-	req := &Request{Version: WireVersion, Spec: spec.Name(), Source: "class Broken {"}
+	req := &Request{Spec: spec.Name(), Source: "class Broken {"}
 	resp := req.Run()
 	if resp.Error == "" || resp.Result != nil {
 		t.Fatalf("want in-band parse error, got %+v", resp)
@@ -130,15 +149,33 @@ func TestWireProgramErrorInBand(t *testing.T) {
 	}
 }
 
+// TestWireVersionMismatch: a child whose hello announces any other wire
+// version is a stale binary. Spawning it is a hard error naming the
+// remedy — not a fault, not a retry, and never a downgraded dialect.
 func TestWireVersionMismatch(t *testing.T) {
-	resp := (&Request{Version: WireVersion + 7}).Run()
-	if resp.Error == "" || !strings.Contains(resp.Error, "wire version") {
-		t.Errorf("want version-mismatch error, got %+v", resp)
+	stale := filepath.Join(t.TempDir(), "stale-minijvm")
+	script := fmt.Sprintf("#!/bin/sh\necho '{\"version\":%d,\"pid\":'$$'}'\nexec cat >/dev/null\n", WireVersion-1)
+	if err := os.WriteFile(stale, []byte(script), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	c, err := spawnChild(stale)
+	if c != nil || !errors.Is(err, errWireMismatch) || !strings.Contains(err.Error(), "rebuild the binary") {
+		t.Fatalf("spawnChild = %v, %v; want a wire-mismatch error naming the remedy", c, err)
+	}
+
+	pool := NewPool(PoolConfig{Path: stale})
+	defer pool.Close()
+	_, err = pool.Execute(context.Background(), wireProg(t), jvm.Reference(), jvm.Options{})
+	if !errors.Is(err, errWireMismatch) || harness.AsFault(err) != nil {
+		t.Errorf("pool execute on a stale child: %v, want a plain wire-mismatch error", err)
+	}
+	if st := pool.Stats(); st.Retries != 0 || st.Faults != 0 || st.Spawns != 0 {
+		t.Errorf("stats = %+v, want no retries, faults, or accepted spawns", st)
 	}
 }
 
 func TestWireUnknownInjection(t *testing.T) {
-	resp := (&Request{Version: WireVersion, Inject: "zap"}).Run()
+	resp := (&Request{Inject: "zap"}).Run()
 	if resp.Error == "" || !strings.Contains(resp.Error, "unknown fault injection") {
 		t.Errorf("want injection error, got %+v", resp)
 	}

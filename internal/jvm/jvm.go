@@ -132,7 +132,7 @@ type Options struct {
 	// compilation in this execution (nil = the fixed default pipeline).
 	// The plan is validated once here, so an ill-formed plan is a
 	// program-level rejection, not a compile bailout. Serializable: it
-	// crosses the exec wire protocol (v3+) to subprocess backends.
+	// crosses the exec wire protocol to pool children.
 	Plan *jit.Plan
 }
 
@@ -330,13 +330,24 @@ type Divergence struct {
 }
 
 // FirstDivergence locates the first diverging result, or nil when all
-// specs agree. Unlike iterating Groups (a map), it scans Results in run
-// order, so the answer is deterministic: the modal output is the most
-// common one with ties broken by first appearance, and the divergent
-// spec is the earliest result whose output differs from it.
+// specs agree. See attribute for how the modal output is chosen.
 func (d *Differential) FirstDivergence() *Divergence {
+	div, _ := d.attribute()
+	return div
+}
+
+// attribute explains an inconsistent differential: where it diverges
+// and which miscompilation bugs caused it. It scans Results in run
+// order, never the Groups map, so the answer is deterministic: the
+// modal output is the most common one with ties broken by first
+// appearance, the divergent spec is the earliest result whose output
+// differs from it, and the bugs are the miscompilations triggered on
+// every non-modal result (bugs that fired on agreeing builds did not
+// change the output and are excluded). Both values are nil when the
+// specs agree.
+func (d *Differential) attribute() (*Divergence, []*buginject.Bug) {
 	if !d.Inconsistent() {
-		return nil
+		return nil, nil
 	}
 	counts := map[string]int{}
 	for _, r := range d.Results {
@@ -349,18 +360,28 @@ func (d *Differential) FirstDivergence() *Divergence {
 		}
 	}
 	div := &Divergence{Index: -1}
+	seen := map[string]bool{}
+	var bugs []*buginject.Bug
 	for i, r := range d.Results {
 		if r.Result.OutputString() == modal {
 			if div.Modal == (Spec{}) {
 				div.Modal = r.Spec
 				div.ModalPlan = r.PlanID
 			}
-		} else if div.Index < 0 {
+			continue
+		}
+		if div.Index < 0 {
 			div.Divergent, div.Index = r.Spec, i
 			div.DivergentPlan = r.PlanID
 		}
+		for _, b := range r.Triggered {
+			if b.Kind == buginject.Miscompile && !seen[b.ID] {
+				seen[b.ID] = true
+				bugs = append(bugs, b)
+			}
+		}
 	}
-	return div
+	return div, bugs
 }
 
 // AnyCrash returns the first crashing result, or nil.
@@ -388,35 +409,9 @@ func (d *Differential) TriggeredBugs() []*buginject.Bug {
 	return out
 }
 
-// DivergentBugs attributes the inconsistency: it returns the
-// miscompilation bugs triggered on builds whose output differs from the
-// modal (most common) output. Bugs that fired on agreeing builds did not
-// cause the divergence and are excluded — differential testing only
-// ever reveals the defect that actually changed the output.
+// DivergentBugs returns the miscompilation bugs that explain the
+// inconsistency, in run order. See attribute.
 func (d *Differential) DivergentBugs() []*buginject.Bug {
-	if !d.Inconsistent() {
-		return nil
-	}
-	modal := ""
-	best := -1
-	for out, specs := range d.Groups {
-		if len(specs) > best {
-			best = len(specs)
-			modal = out
-		}
-	}
-	seen := map[string]bool{}
-	var out []*buginject.Bug
-	for _, r := range d.Results {
-		if r.Result.OutputString() == modal {
-			continue
-		}
-		for _, b := range r.Triggered {
-			if b.Kind == buginject.Miscompile && !seen[b.ID] {
-				seen[b.ID] = true
-				out = append(out, b)
-			}
-		}
-	}
-	return out
+	_, bugs := d.attribute()
+	return bugs
 }

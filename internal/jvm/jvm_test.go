@@ -266,3 +266,57 @@ func TestFirstDivergenceModalTieBreak(t *testing.T) {
 		t.Errorf("tie-break divergence = %+v, want modal=openjdk-8 index=1", div)
 	}
 }
+
+// TestDivergenceAttributionTies pins attribution for every split shape,
+// including even splits where no output holds a majority: the modal
+// output is the earliest among the most common ones, so the recorded
+// Divergence and the attributed bugs always describe the same results.
+// Each run fires its own miscompilation; only non-modal runs' bugs are
+// attributed, and a crash-kind bug on a divergent run never is.
+func TestDivergenceAttributionTies(t *testing.T) {
+	miscompiles := []string{"JDK-8301009", "JDK-8303005", "JDK-8304005", "JDK-8305004"}
+	specs := []Spec{{buginject.HotSpot, 8}, {buginject.HotSpot, 11}, {buginject.HotSpot, 17}, {buginject.HotSpot, 21}}
+	for _, tc := range []struct {
+		name      string
+		outs      []string
+		modal     int   // index of the first modal-output run
+		divergent int   // index of the first divergent run
+		bugs      []int // runs whose miscompilation is attributed
+	}{
+		{"1-1", []string{"a", "b"}, 0, 1, []int{1}},
+		{"2-2", []string{"a", "b", "b", "a"}, 0, 1, []int{1, 2}},
+		{"2-2-interleaved", []string{"b", "a", "a", "b"}, 0, 1, []int{1, 2}},
+		{"1-1-1", []string{"a", "b", "c"}, 0, 1, []int{1, 2}},
+		{"3-1", []string{"b", "a", "a", "a"}, 1, 0, []int{0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for rep := 0; rep < 20; rep++ { // Groups is a map: vary its history
+				d := &Differential{Groups: map[string][]Spec{}}
+				for i, out := range tc.outs {
+					r := &ExecResult{Spec: specs[i], Result: &vm.Result{Output: []string{out}},
+						Triggered: []*buginject.Bug{buginject.ByID(miscompiles[i]), buginject.ByID("JDK-8301001")}}
+					d.Results = append(d.Results, r)
+					key := r.Result.OutputString()
+					d.Groups[key] = append(d.Groups[key], r.Spec)
+				}
+				div := d.FirstDivergence()
+				if div == nil || div.Modal != specs[tc.modal] || div.Divergent != specs[tc.divergent] || div.Index != tc.divergent {
+					t.Fatalf("divergence = %+v, want modal %v, divergent %v #%d", div, specs[tc.modal], specs[tc.divergent], tc.divergent)
+				}
+				var got, want []string
+				for _, b := range d.DivergentBugs() {
+					got = append(got, b.ID)
+				}
+				for _, i := range tc.bugs {
+					want = append(want, miscompiles[i])
+				}
+				if strings.Join(got, ",") != strings.Join(want, ",") {
+					t.Fatalf("divergent bugs = %v, want %v", got, want)
+				}
+			}
+		})
+	}
+	if bugs := (&Differential{Groups: map[string][]Spec{"a": {specs[0]}}}).DivergentBugs(); bugs != nil {
+		t.Errorf("consistent differential attributed bugs %v", bugs)
+	}
+}

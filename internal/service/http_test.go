@@ -258,3 +258,27 @@ func TestHTTPAPI(t *testing.T) {
 		t.Error("healthz does not report draining")
 	}
 }
+
+// TestRemovedBackendRejected: "subprocess" is no longer a backend, and
+// both endpoints that take one refuse it up front with a 400 naming the
+// valid choices — not an alias, not a job that fails later.
+func TestRemovedBackendRejected(t *testing.T) {
+	sched := newTestScheduler(t, Config{})
+	srv := httptest.NewServer(NewServer(sched).Handler())
+	defer srv.Close()
+	for _, path := range []string{"/jobs", "/corpus/distill"} {
+		resp, err := srv.Client().Post(srv.URL+path, "application/json",
+			strings.NewReader(`{"seed_count":2,"backend":"subprocess"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "want inprocess or pool") {
+			t.Errorf("POST %s with backend subprocess = %d %s, want 400 naming the valid backends", path, resp.StatusCode, body)
+		}
+	}
+	if n := len(sched.JobsInOrder()); n != 0 {
+		t.Errorf("%d jobs queued for a removed backend", n)
+	}
+}

@@ -71,8 +71,8 @@ type JobSpec struct {
 	// Workers shards seed tasks inside the campaign (default 1;
 	// results are byte-identical either way).
 	Workers int `json:"workers,omitempty"`
-	// Backend pins the execution backend ("inprocess" or "subprocess");
-	// empty inherits the daemon's default.
+	// Backend pins the execution backend (one of exec.Backends():
+	// "inprocess" or "pool"); empty inherits the daemon's default.
 	Backend string `json:"backend,omitempty"`
 	// Extended enables the alternative evoking-mutator implementations.
 	Extended bool `json:"extended,omitempty"`

@@ -38,7 +38,7 @@ type Config struct {
 	Runners int
 	// Backend is the default execution backend for jobs that do not pin
 	// one ("" = inprocess); MinijvmPath/ChildTimeout configure the
-	// subprocess and pool backends exactly like the mopfuzzer flags.
+	// pool backend exactly like the mopfuzzer flags.
 	Backend      string
 	MinijvmPath  string
 	ChildTimeout time.Duration

@@ -25,7 +25,7 @@ func fullRecord() *jobRecord {
 			Iterations: 30,
 			Seed:       9,
 			Workers:    2,
-			Backend:    "subprocess",
+			Backend:    "pool",
 			Extended:   true,
 			HeapLimit:  50_000,
 		},
