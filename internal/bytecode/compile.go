@@ -12,19 +12,28 @@ import (
 // unchecked programs.
 func Compile(p *lang.Program) (*Image, error) {
 	img := &Image{EntryClass: p.EntryClass, Program: p}
-	for _, cl := range p.Classes {
-		cf := &ClassFile{Name: cl.Name}
+	// Layouts and static slots first, so every field ref the methods
+	// emit resolves against the finished image.
+	for i, cl := range p.Classes {
+		l := &Layout{ID: int32(i)}
 		for _, f := range cl.Fields {
-			cf.Fields = append(cf.Fields, FieldInfo{Name: f.Name, Static: f.Static, IsRef: f.Ty.IsRef()})
+			if f.Static {
+				img.Statics = append(img.Statics, Static{Class: cl.Name, Name: f.Name, IsRef: f.Ty.IsRef()})
+			} else {
+				l.Names = append(l.Names, f.Name)
+				l.Refs = append(l.Refs, f.Ty.IsRef())
+			}
 		}
+		img.Classes = append(img.Classes, &ClassFile{Name: cl.Name, Layout: l})
+	}
+	for i, cl := range p.Classes {
 		for _, m := range cl.Methods {
-			fn, err := compileMethod(p, cl, m)
+			fn, err := compileMethod(img, cl, m)
 			if err != nil {
 				return nil, err
 			}
-			cf.Funcs = append(cf.Funcs, fn)
+			img.Classes[i].Funcs = append(img.Classes[i].Funcs, fn)
 		}
-		img.Classes = append(img.Classes, cf)
 	}
 	if img.Entry() == nil {
 		return nil, fmt.Errorf("bytecode: image has no entry %s.main", p.EntryClass)
@@ -34,6 +43,7 @@ func Compile(p *lang.Program) (*Image, error) {
 
 // fnCompiler holds per-method compilation state.
 type fnCompiler struct {
+	img    *Image
 	prog   *lang.Program
 	class  *lang.Class
 	method *lang.Method
@@ -50,9 +60,10 @@ type fnCompiler struct {
 	cPool   map[string]int32
 }
 
-func compileMethod(p *lang.Program, cl *lang.Class, m *lang.Method) (*Function, error) {
+func compileMethod(img *Image, cl *lang.Class, m *lang.Method) (*Function, error) {
 	fc := &fnCompiler{
-		prog:   p,
+		img:    img,
+		prog:   img.Program,
 		class:  cl,
 		method: m,
 		fn: &Function{
@@ -164,6 +175,7 @@ func (fc *fnCompiler) fieldRef(class, name string) (int32, bool, error) {
 		return 0, false, fmt.Errorf("bytecode: unknown field %s.%s", class, name)
 	}
 	ref := FieldRef{Class: class, Name: name, Static: f.Static}
+	ref.ClassID, ref.Slot = fc.img.ResolveField(class, name, f.Static)
 	if i, ok := fc.fPool[ref]; ok {
 		return i, f.Static, nil
 	}

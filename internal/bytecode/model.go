@@ -23,11 +23,17 @@ func (r MethodRef) String() string {
 	return fmt.Sprintf("%s %s.%s/%d", kind, r.Class, r.Method, r.NArgs)
 }
 
-// FieldRef names a field in the image.
+// FieldRef names a field in the image. Compile resolves it once: an
+// instance field to ClassID (the index of Class in the image) and Slot
+// (the field's index in that class's Layout); a static to Slot, its
+// index in Image.Statics. A name no declaration matches resolves to
+// ClassID/Slot -1, and the runtime falls back to a lookup by name.
 type FieldRef struct {
-	Class  string
-	Name   string
-	Static bool
+	Class   string
+	Name    string
+	Static  bool
+	ClassID int32
+	Slot    int32
 }
 
 func (r FieldRef) String() string { return r.Class + "." + r.Name }
@@ -83,15 +89,38 @@ func (f *Function) Key() string {
 // ClassFile is one compiled class.
 type ClassFile struct {
 	Name   string
-	Fields []FieldInfo
+	Layout *Layout // instance fields
 	Funcs  []*Function
 }
 
-// FieldInfo describes a declared field.
-type FieldInfo struct {
-	Name   string
-	Static bool
-	IsRef  bool // reference-typed (objects, boxes, arrays) vs numeric/bool
+// Layout is a class's instance-field layout: slot i holds field
+// Names[i], in declaration order. Refs is the zero-value template: a
+// reference-typed slot starts null, any other slot starts at 0.
+type Layout struct {
+	ID    int32 // index of the class in Image.Classes
+	Names []string
+	Refs  []bool
+}
+
+// Slot returns the slot of the named field, or -1 (also for a nil
+// layout).
+func (l *Layout) Slot(name string) int32 {
+	if l == nil {
+		return -1
+	}
+	for i, n := range l.Names {
+		if n == name {
+			return int32(i)
+		}
+	}
+	return -1
+}
+
+// Static is one static field, stored at its index in Image.Statics.
+type Static struct {
+	Class string
+	Name  string
+	IsRef bool // reference-typed: starts null rather than 0
 }
 
 // Func returns the named function of the class, or nil.
@@ -107,6 +136,7 @@ func (c *ClassFile) Func(name string) *Function {
 // Image is a fully compiled program: the unit the VM loads and runs.
 type Image struct {
 	Classes    []*ClassFile
+	Statics    []Static // every class's static fields, in declaration order
 	EntryClass string
 	// Program is the source program, retained for the JIT tiers.
 	Program *lang.Program
@@ -120,6 +150,26 @@ func (img *Image) Class(name string) *ClassFile {
 		}
 	}
 	return nil
+}
+
+// ResolveField resolves a field name against the image's layouts: an
+// instance field to its class ID and slot, a static to its index in
+// Statics. Names no declaration matches resolve to -1, -1.
+func (img *Image) ResolveField(class, name string, static bool) (classID, slot int32) {
+	if static {
+		for i, s := range img.Statics {
+			if s.Class == class && s.Name == name {
+				return -1, int32(i)
+			}
+		}
+		return -1, -1
+	}
+	if c := img.Class(class); c != nil {
+		if s := c.Layout.Slot(name); s >= 0 {
+			return c.Layout.ID, s
+		}
+	}
+	return -1, -1
 }
 
 // Lookup resolves a method ref to its function, or nil.

@@ -9,7 +9,8 @@ import (
 //
 //   - jump targets and exception-table ranges lie inside the code
 //   - constant-pool, local, method-ref, field-ref and class-ref indices
-//     are in range
+//     are in range, and every field ref carries the slot the image's
+//     layouts assign it
 //   - operand-stack depth is consistent at every instruction across all
 //     paths (abstract interpretation with merge checking) and never
 //     negative
@@ -63,6 +64,10 @@ func verifyFunc(img *Image, f *Function) error {
 		case GetField, PutField, GetStatic, PutStatic, ReflectGetF:
 			if ins.A < 0 || int(ins.A) >= len(f.Fields) {
 				return fmt.Errorf("pc %d: field ref %d out of range", pc, ins.A)
+			}
+			ref := f.Fields[ins.A]
+			if cid, slot := img.ResolveField(ref.Class, ref.Name, ref.Static); cid != ref.ClassID || slot != ref.Slot {
+				return fmt.Errorf("pc %d: field ref %s resolved to %d/%d, image says %d/%d", pc, ref, ref.ClassID, ref.Slot, cid, slot)
 			}
 		case NewObj:
 			if ins.A < 0 || int(ins.A) >= len(f.Classes) {

@@ -21,6 +21,7 @@ type Compiled struct {
 
 	trapCount int
 	trapLimit int
+	frames    []*frame // freelist of invocation frames
 }
 
 // covSink is a tiny indirection so the executor can mark runtime
@@ -33,49 +34,21 @@ func (c *covSink) Hit(name string) {
 	}
 }
 
-// scopes is a lexical-scope stack of local variable bindings, stored as
-// a flat name/value stack with frame marks. Lookups scan from the top,
-// so shadowing resolves to the innermost binding; pushing a scope costs
-// one integer append instead of a map allocation (this is the compiled
-// executor's hottest structure).
-type scopes struct {
-	names []string
+// frame is one invocation's locals, laid out by resolve: a value per
+// slot, and whether the slot is bound in the current instance of its
+// scope.
+type frame struct {
 	vals  []vm.Value
-	marks []int
+	bound []bool
 }
 
-func (s *scopes) push() { s.marks = append(s.marks, len(s.names)) }
-
-func (s *scopes) pop() {
-	m := s.marks[len(s.marks)-1]
-	s.marks = s.marks[:len(s.marks)-1]
-	s.names = s.names[:m]
-	s.vals = s.vals[:m]
+func (fr *frame) bind(slot int32, v vm.Value) {
+	fr.vals[slot] = v
+	fr.bound[slot] = true
 }
 
-func (s *scopes) declare(name string, v vm.Value) {
-	s.names = append(s.names, name)
-	s.vals = append(s.vals, v)
-}
-
-func (s *scopes) get(name string) (vm.Value, bool) {
-	for i := len(s.names) - 1; i >= 0; i-- {
-		if s.names[i] == name {
-			return s.vals[i], true
-		}
-	}
-	return vm.Value{}, false
-}
-
-func (s *scopes) set(name string, v vm.Value) bool {
-	for i := len(s.names) - 1; i >= 0; i-- {
-		if s.names[i] == name {
-			s.vals[i] = v
-			return true
-		}
-	}
-	return false
-}
+// enter starts a fresh instance of the scope owning [lo, hi).
+func (fr *frame) enter(lo, hi int32) { clear(fr.bound[lo:hi]) }
 
 type ctrl int
 
@@ -84,19 +57,26 @@ const (
 	ctrlReturn
 )
 
-// Invoke implements vm.CompiledMethod.
+// Invoke implements vm.CompiledMethod. Frames come from a per-Compiled
+// freelist: invocations nest LIFO (recursion takes a second frame), so
+// steady-state calls allocate no local storage.
 func (c *Compiled) Invoke(args []vm.Value) (vm.Value, error) {
-	sc := &scopes{}
-	sc.push()
-	i := 0
-	if c.F.HasReceiver {
-		sc.declare("this", args[0])
-		i = 1
+	if !c.F.resolved {
+		return vm.Value{}, fmt.Errorf("jit: exec: %s was not resolved", c.F.Key())
 	}
-	for j, p := range c.F.Params {
-		sc.declare(p.Name, args[i+j])
+	var fr *frame
+	if k := len(c.frames); k > 0 {
+		fr = c.frames[k-1]
+		c.frames = c.frames[:k-1]
+		clear(fr.bound)
+	} else {
+		fr = &frame{vals: make([]vm.Value, c.F.FrameSize), bound: make([]bool, c.F.FrameSize)}
 	}
-	k, v, err := c.execStmt(sc, c.F.Body)
+	for i, slot := range c.F.ArgSlots {
+		fr.bind(slot, args[i])
+	}
+	k, v, err := c.execStmt(fr, c.F.Body)
+	c.frames = append(c.frames, fr)
 	if err != nil {
 		return vm.Value{}, err
 	}
@@ -106,11 +86,10 @@ func (c *Compiled) Invoke(args []vm.Value) (vm.Value, error) {
 	return vm.Value{}, nil
 }
 
-func (c *Compiled) execSeq(sc *scopes, n *Node) (ctrl, vm.Value, error) {
-	sc.push()
-	defer sc.pop()
+func (c *Compiled) execSeq(fr *frame, n *Node) (ctrl, vm.Value, error) {
+	fr.enter(n.Slot, n.SlotEnd)
 	for _, k := range n.Kids {
-		kc, v, err := c.execStmt(sc, k)
+		kc, v, err := c.execStmt(fr, k)
 		if err != nil || kc == ctrlReturn {
 			return kc, v, err
 		}
@@ -118,66 +97,70 @@ func (c *Compiled) execSeq(sc *scopes, n *Node) (ctrl, vm.Value, error) {
 	return ctrlNext, vm.Value{}, nil
 }
 
-func (c *Compiled) execStmt(sc *scopes, n *Node) (ctrl, vm.Value, error) {
+func (c *Compiled) execStmt(fr *frame, n *Node) (ctrl, vm.Value, error) {
 	if err := c.Env.Step(); err != nil {
 		return ctrlNext, vm.Value{}, err
 	}
 	switch n.Kind {
 	case NSeq:
-		return c.execSeq(sc, n)
+		return c.execSeq(fr, n)
 	case NNop:
 		return ctrlNext, vm.Value{}, nil
 	case NDecl:
-		v, err := c.eval(sc, n.Kids[0])
+		v, err := c.eval(fr, n.Kids[0])
 		if err != nil {
 			return ctrlNext, vm.Value{}, err
 		}
-		sc.declare(n.Name, v)
+		fr.bind(n.Slot, v)
 		return ctrlNext, vm.Value{}, nil
 	case NAssignVar:
-		v, err := c.eval(sc, n.Kids[0])
+		v, err := c.eval(fr, n.Kids[0])
 		if err != nil {
 			return ctrlNext, vm.Value{}, err
 		}
-		if !sc.set(n.Name, v) {
-			// A variable materialized by an optimization (e.g. scalar
-			// replacement) may not have an explicit declaration on every
-			// path; bind it in the innermost scope.
-			sc.declare(n.Name, v)
+		for _, slot := range n.Slots {
+			if fr.bound[slot] {
+				fr.vals[slot] = v
+				return ctrlNext, vm.Value{}, nil
+			}
 		}
+		// A variable materialized by an optimization (e.g. scalar
+		// replacement) may not have an explicit declaration on every
+		// path; bind it in the innermost scope.
+		fr.bind(n.Slots[0], v)
 		return ctrlNext, vm.Value{}, nil
 	case NAssignField:
 		if n.Static {
-			v, err := c.eval(sc, n.Kids[0])
+			v, err := c.eval(fr, n.Kids[0])
 			if err != nil {
 				return ctrlNext, vm.Value{}, err
 			}
-			c.Env.SetStatic(n.Class, n.Name, v)
+			c.Env.SetStatic(staticRef(n), v)
 			return ctrlNext, vm.Value{}, nil
 		}
-		recv, err := c.eval(sc, n.Kids[0])
+		recv, err := c.eval(fr, n.Kids[0])
 		if err != nil {
 			return ctrlNext, vm.Value{}, err
 		}
-		v, err := c.eval(sc, n.Kids[1])
+		v, err := c.eval(fr, n.Kids[1])
 		if err != nil {
 			return ctrlNext, vm.Value{}, err
 		}
 		if recv.Kind != vm.KObj || recv.Obj == nil {
 			return ctrlNext, vm.Value{}, &vm.Thrown{Code: bytecode.ExcNullPointer}
 		}
-		recv.Obj.Fields[n.Name] = v
+		recv.Obj.SetField(n.ClassID, n.Slot, n.Name, v)
 		return ctrlNext, vm.Value{}, nil
 	case NAssignIndex:
-		arr, err := c.eval(sc, n.Kids[0])
+		arr, err := c.eval(fr, n.Kids[0])
 		if err != nil {
 			return ctrlNext, vm.Value{}, err
 		}
-		idx, err := c.eval(sc, n.Kids[1])
+		idx, err := c.eval(fr, n.Kids[1])
 		if err != nil {
 			return ctrlNext, vm.Value{}, err
 		}
-		v, err := c.eval(sc, n.Kids[2])
+		v, err := c.eval(fr, n.Kids[2])
 		if err != nil {
 			return ctrlNext, vm.Value{}, err
 		}
@@ -190,68 +173,67 @@ func (c *Compiled) execStmt(sc *scopes, n *Node) (ctrl, vm.Value, error) {
 		arr.Arr.Elems[idx.I] = int64(int32(v.I))
 		return ctrlNext, vm.Value{}, nil
 	case NIf:
-		cond, err := c.eval(sc, n.Kids[0])
+		cond, err := c.eval(fr, n.Kids[0])
 		if err != nil {
 			return ctrlNext, vm.Value{}, err
 		}
 		if cond.Bool() {
-			return c.execStmt(sc, n.Kids[1])
+			return c.execStmt(fr, n.Kids[1])
 		}
 		if len(n.Kids) > 2 {
-			return c.execStmt(sc, n.Kids[2])
+			return c.execStmt(fr, n.Kids[2])
 		}
 		return ctrlNext, vm.Value{}, nil
 	case NFor:
-		return c.execFor(sc, n)
+		return c.execFor(fr, n)
 	case NWhile:
 		for {
-			cond, err := c.eval(sc, n.Kids[0])
+			cond, err := c.eval(fr, n.Kids[0])
 			if err != nil {
 				return ctrlNext, vm.Value{}, err
 			}
 			if !cond.Bool() {
 				return ctrlNext, vm.Value{}, nil
 			}
-			k, v, err := c.execStmt(sc, n.Kids[1])
+			k, v, err := c.execStmt(fr, n.Kids[1])
 			if err != nil || k == ctrlReturn {
 				return k, v, err
 			}
 		}
 	case NSync:
-		return c.execSync(sc, n)
+		return c.execSync(fr, n)
 	case NReturn:
 		if len(n.Kids) == 0 {
 			return ctrlReturn, vm.Value{}, nil
 		}
-		v, err := c.eval(sc, n.Kids[0])
+		v, err := c.eval(fr, n.Kids[0])
 		if err != nil {
 			return ctrlNext, vm.Value{}, err
 		}
 		return ctrlReturn, v, nil
 	case NThrow:
-		v, err := c.eval(sc, n.Kids[0])
+		v, err := c.eval(fr, n.Kids[0])
 		if err != nil {
 			return ctrlNext, vm.Value{}, err
 		}
 		return ctrlNext, vm.Value{}, &vm.Thrown{Code: v.I}
 	case NTry:
-		k, v, err := c.execStmt(sc, n.Kids[0])
+		k, v, err := c.execStmt(fr, n.Kids[0])
 		if thr, ok := err.(*vm.Thrown); ok {
-			sc.push()
-			sc.declare(n.Name, vm.IntVal(thr.Code))
-			k, v, err = c.execStmt(sc, n.Kids[1])
-			sc.pop()
+			fr.enter(n.Slot, n.SlotEnd)
+			fr.bind(n.Slot, vm.IntVal(thr.Code))
+			k, v, err = c.execStmt(fr, n.Kids[1])
 		}
 		return k, v, err
 	case NPrint:
-		v, err := c.eval(sc, n.Kids[0])
+		v, err := c.eval(fr, n.Kids[0])
 		if err != nil {
 			return ctrlNext, vm.Value{}, err
 		}
 		c.Env.Print(v)
 		return ctrlNext, vm.Value{}, nil
 	case NExprStmt:
-		_, err := c.eval(sc, n.Kids[0])
+		_, err := c.eval(fr, n.Kids[0])
 		return ctrlNext, vm.Value{}, err
 	case NUncommonTrap:
 		// A compiled speculation failed at runtime: log the trap, count
@@ -266,48 +248,46 @@ func (c *Compiled) execStmt(sc *scopes, n *Node) (ctrl, vm.Value, error) {
 		if c.trapLimit > 0 && c.trapCount >= c.trapLimit {
 			c.Env.InvalidateCode(c.F.Key())
 		}
-		return c.execStmt(sc, n.Kids[0])
+		return c.execStmt(fr, n.Kids[0])
 	}
 	return ctrlNext, vm.Value{}, fmt.Errorf("jit: exec: bad statement kind %v", n.Kind)
 }
 
-func (c *Compiled) execFor(sc *scopes, n *Node) (ctrl, vm.Value, error) {
-	from, err := c.eval(sc, n.Kids[0])
+func (c *Compiled) execFor(fr *frame, n *Node) (ctrl, vm.Value, error) {
+	from, err := c.eval(fr, n.Kids[0])
 	if err != nil {
 		return ctrlNext, vm.Value{}, err
 	}
-	sc.push()
-	defer sc.pop()
-	sc.declare(n.Name, vm.IntVal(from.I))
-	slot := len(sc.vals) - 1 // the loop variable's stack slot is stable
+	fr.enter(n.Slot, n.SlotEnd)
+	fr.bind(n.Slot, vm.IntVal(from.I))
 	for {
 		if err := c.Env.Step(); err != nil {
 			return ctrlNext, vm.Value{}, err
 		}
-		to, err := c.eval(sc, n.Kids[1])
+		to, err := c.eval(fr, n.Kids[1])
 		if err != nil {
 			return ctrlNext, vm.Value{}, err
 		}
-		if sc.vals[slot].I >= to.I {
+		if fr.vals[n.Slot].I >= to.I {
 			return ctrlNext, vm.Value{}, nil
 		}
-		k, v, err := c.execStmt(sc, n.Kids[2])
+		k, v, err := c.execStmt(fr, n.Kids[2])
 		if err != nil || k == ctrlReturn {
 			return k, v, err
 		}
-		sc.vals[slot] = vm.IntVal(sc.vals[slot].I + n.Step)
+		fr.vals[n.Slot] = vm.IntVal(fr.vals[n.Slot].I + n.Step)
 	}
 }
 
-func (c *Compiled) execSync(sc *scopes, n *Node) (ctrl, vm.Value, error) {
-	mon, err := c.eval(sc, n.Kids[0])
+func (c *Compiled) execSync(fr *frame, n *Node) (ctrl, vm.Value, error) {
+	mon, err := c.eval(fr, n.Kids[0])
 	if err != nil {
 		return ctrlNext, vm.Value{}, err
 	}
 	if err := c.Env.MonitorEnter(mon); err != nil {
 		return ctrlNext, vm.Value{}, err
 	}
-	k, v, err := c.execStmt(sc, n.Kids[1])
+	k, v, err := c.execStmt(fr, n.Kids[1])
 	if err != nil {
 		if _, isThrown := err.(*vm.Thrown); isThrown && n.NoExcCleanup {
 			// Seeded defect: the compiled exception path omits the
@@ -325,7 +305,7 @@ func (c *Compiled) execSync(sc *scopes, n *Node) (ctrl, vm.Value, error) {
 	return k, v, nil
 }
 
-func (c *Compiled) eval(sc *scopes, n *Node) (vm.Value, error) {
+func (c *Compiled) eval(fr *frame, n *Node) (vm.Value, error) {
 	if err := c.Env.Step(); err != nil {
 		return vm.Value{}, err
 	}
@@ -340,27 +320,28 @@ func (c *Compiled) eval(sc *scopes, n *Node) (vm.Value, error) {
 	case NConstStr:
 		return vm.StrVal(n.SVal), nil
 	case NVar:
-		v, ok := sc.get(n.Name)
-		if !ok {
-			return vm.Value{}, fmt.Errorf("jit: exec: unbound variable %q in %s", n.Name, c.F.Key())
+		for _, slot := range n.Slots {
+			if fr.bound[slot] {
+				return fr.vals[slot], nil
+			}
 		}
-		return v, nil
+		return vm.Value{}, fmt.Errorf("jit: exec: unbound variable %q in %s", n.Name, c.F.Key())
 	case NFieldGet:
 		if n.Static {
-			return c.Env.GetStatic(n.Class, n.Name), nil
+			return c.Env.GetStatic(staticRef(n)), nil
 		}
-		recv, err := c.eval(sc, n.Kids[0])
+		recv, err := c.eval(fr, n.Kids[0])
 		if err != nil {
 			return vm.Value{}, err
 		}
 		if recv.Kind != vm.KObj || recv.Obj == nil {
 			return vm.Value{}, &vm.Thrown{Code: bytecode.ExcNullPointer}
 		}
-		return recv.Obj.Fields[n.Name], nil
+		return recv.Obj.Field(n.ClassID, n.Slot, n.Name), nil
 	case NBinary:
-		return c.evalBinary(sc, n)
+		return c.evalBinary(fr, n)
 	case NUnary:
-		x, err := c.eval(sc, n.Kids[0])
+		x, err := c.eval(fr, n.Kids[0])
 		if err != nil {
 			return vm.Value{}, err
 		}
@@ -377,14 +358,14 @@ func (c *Compiled) eval(sc *scopes, n *Node) (vm.Value, error) {
 		recv := vm.NullVal()
 		if recvNode != nil {
 			var err error
-			recv, err = c.eval(sc, recvNode)
+			recv, err = c.eval(fr, recvNode)
 			if err != nil {
 				return vm.Value{}, err
 			}
 		}
 		args := make([]vm.Value, len(argNodes))
 		for i, a := range argNodes {
-			v, err := c.eval(sc, a)
+			v, err := c.eval(fr, a)
 			if err != nil {
 				return vm.Value{}, err
 			}
@@ -403,30 +384,30 @@ func (c *Compiled) eval(sc *scopes, n *Node) (vm.Value, error) {
 	case NReflectGet:
 		c.Cov.Hit("runtime.reflection")
 		if n.Static {
-			return c.Env.GetStatic(n.Class, n.Name), nil
+			return c.Env.GetStatic(staticRef(n)), nil
 		}
-		recv, err := c.eval(sc, n.Kids[0])
+		recv, err := c.eval(fr, n.Kids[0])
 		if err != nil {
 			return vm.Value{}, err
 		}
 		if recv.Kind != vm.KObj || recv.Obj == nil {
 			return vm.Value{}, &vm.Thrown{Code: bytecode.ExcNullPointer}
 		}
-		return recv.Obj.Fields[n.Name], nil
+		return recv.Obj.Field(n.ClassID, n.Slot, n.Name), nil
 	case NNew:
 		return c.Env.NewObject(n.Class), nil
 	case NNewArray:
-		l, err := c.eval(sc, n.Kids[0])
+		l, err := c.eval(fr, n.Kids[0])
 		if err != nil {
 			return vm.Value{}, err
 		}
 		return c.Env.NewArray(l.I), nil
 	case NIndex:
-		arr, err := c.eval(sc, n.Kids[0])
+		arr, err := c.eval(fr, n.Kids[0])
 		if err != nil {
 			return vm.Value{}, err
 		}
-		idx, err := c.eval(sc, n.Kids[1])
+		idx, err := c.eval(fr, n.Kids[1])
 		if err != nil {
 			return vm.Value{}, err
 		}
@@ -438,13 +419,13 @@ func (c *Compiled) eval(sc *scopes, n *Node) (vm.Value, error) {
 		}
 		return vm.IntVal(arr.Arr.Elems[idx.I]), nil
 	case NBox:
-		x, err := c.eval(sc, n.Kids[0])
+		x, err := c.eval(fr, n.Kids[0])
 		if err != nil {
 			return vm.Value{}, err
 		}
 		return c.Env.NewBox(x.I), nil
 	case NUnbox:
-		x, err := c.eval(sc, n.Kids[0])
+		x, err := c.eval(fr, n.Kids[0])
 		if err != nil {
 			return vm.Value{}, err
 		}
@@ -453,13 +434,13 @@ func (c *Compiled) eval(sc *scopes, n *Node) (vm.Value, error) {
 		}
 		return vm.IntVal(x.Obj.BoxVal), nil
 	case NWiden:
-		x, err := c.eval(sc, n.Kids[0])
+		x, err := c.eval(fr, n.Kids[0])
 		if err != nil {
 			return vm.Value{}, err
 		}
 		return vm.LongVal(x.I), nil
 	case NNullCheck:
-		x, err := c.eval(sc, n.Kids[0])
+		x, err := c.eval(fr, n.Kids[0])
 		if err != nil {
 			return vm.Value{}, err
 		}
@@ -468,23 +449,23 @@ func (c *Compiled) eval(sc *scopes, n *Node) (vm.Value, error) {
 		}
 		return x, nil
 	case NCond:
-		cond, err := c.eval(sc, n.Kids[0])
+		cond, err := c.eval(fr, n.Kids[0])
 		if err != nil {
 			return vm.Value{}, err
 		}
 		if cond.Bool() {
-			return c.eval(sc, n.Kids[1])
+			return c.eval(fr, n.Kids[1])
 		}
-		return c.eval(sc, n.Kids[2])
+		return c.eval(fr, n.Kids[2])
 	}
 	return vm.Value{}, fmt.Errorf("jit: exec: bad expression kind %v", n.Kind)
 }
 
-func (c *Compiled) evalBinary(sc *scopes, n *Node) (vm.Value, error) {
+func (c *Compiled) evalBinary(fr *frame, n *Node) (vm.Value, error) {
 	op := n.BinOp
 	// Short-circuit logical operators must not evaluate the RHS eagerly.
 	if op == lang.OpLAnd || op == lang.OpLOr {
-		l, err := c.eval(sc, n.Kids[0])
+		l, err := c.eval(fr, n.Kids[0])
 		if err != nil {
 			return vm.Value{}, err
 		}
@@ -494,17 +475,17 @@ func (c *Compiled) evalBinary(sc *scopes, n *Node) (vm.Value, error) {
 		if op == lang.OpLOr && l.Bool() {
 			return vm.BoolVal(true), nil
 		}
-		r, err := c.eval(sc, n.Kids[1])
+		r, err := c.eval(fr, n.Kids[1])
 		if err != nil {
 			return vm.Value{}, err
 		}
 		return vm.BoolVal(r.Bool()), nil
 	}
-	l, err := c.eval(sc, n.Kids[0])
+	l, err := c.eval(fr, n.Kids[0])
 	if err != nil {
 		return vm.Value{}, err
 	}
-	r, err := c.eval(sc, n.Kids[1])
+	r, err := c.eval(fr, n.Kids[1])
 	if err != nil {
 		return vm.Value{}, err
 	}
@@ -571,4 +552,9 @@ func (c *Compiled) evalBinary(sc *scopes, n *Node) (vm.Value, error) {
 		return vm.BoolVal(l.I >= r.I), nil
 	}
 	return vm.Value{}, fmt.Errorf("jit: exec: bad binary op %v", op)
+}
+
+// staticRef rebuilds the bytecode-level ref of a resolved static site.
+func staticRef(n *Node) bytecode.FieldRef {
+	return bytecode.FieldRef{Class: n.Class, Name: n.Name, Static: true, ClassID: -1, Slot: n.Slot}
 }

@@ -34,7 +34,14 @@ func compileByHand(t *testing.T, m *vm.Machine, p *lang.Program, key string) *Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Compiled{F: f, Env: m, Log: profile.NewRecorder(profile.NoFlags()), Cov: &covSink{}, trapLimit: 2}
+	return handCompiled(f, m, profile.NewRecorder(profile.NoFlags()))
+}
+
+// handCompiled resolves a Func built outside the pipeline, as Compile
+// does, and wraps it for direct invocation.
+func handCompiled(f *Func, m *vm.Machine, log profile.Emitter) *Compiled {
+	resolve(f, m.Image())
+	return &Compiled{F: f, Env: m, Log: log, Cov: &covSink{}, trapLimit: 2}
 }
 
 func TestExecutorSyncReleasesOnThrow(t *testing.T) {
@@ -109,7 +116,7 @@ class T {
 	if err := passTraps(ctx); err != nil {
 		t.Fatal(err)
 	}
-	c := &Compiled{F: f, Env: m, Log: rec, Cov: &covSink{}, trapLimit: 2}
+	c := handCompiled(f, m, rec)
 	recv := m.NewObject("T")
 
 	// Below the guard: no traps.
@@ -137,12 +144,12 @@ class T {
 
 func TestExecutorNullCheckThrows(t *testing.T) {
 	m, _ := buildMachine(t, `class T { static void main() { return; } }`)
-	c := &Compiled{F: &Func{Class: "T", Name: "synth", Ret: lang.Int,
+	c := handCompiled(&Func{Class: "T", Name: "synth", Ret: lang.Int,
 		Body: Seq(&Node{Kind: NReturn, Kids: []*Node{
 			{Kind: NNullCheck, Kids: []*Node{{Kind: NVar, Name: "x", Ty: lang.ObjectType("T")}}},
 		}}),
 		Params: []lang.Param{{Name: "x", Ty: lang.ObjectType("T")}},
-	}, Env: m, Cov: &covSink{}}
+	}, m, nil)
 	if _, err := c.Invoke([]vm.Value{vm.NullVal()}); err == nil {
 		t.Fatal("null check did not throw")
 	}

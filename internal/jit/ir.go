@@ -169,6 +169,18 @@ type Node struct {
 	// monitor release — a seeded-miscompilation effect reproducing the
 	// Listing 1 hazard. Correct compilation never sets it.
 	NoExcCleanup bool
+
+	// Slots resolved once by resolve (see resolve.go), read-only after:
+	//
+	//	NDecl:                    Slot = the binding
+	//	NFor, NTry:               Slot = loop/catch variable; [Slot, SlotEnd) = its scopes
+	//	NSeq:                     [Slot, SlotEnd) = its scope
+	//	NVar, NAssignVar:         Slots = candidate bindings, innermost first
+	//	NFieldGet, NAssignField,
+	//	NReflectGet:              ClassID/Slot as in bytecode.FieldRef
+	Slot, SlotEnd int32
+	ClassID       int32
+	Slots         []int32
 }
 
 // Seq builds a sequence node.
@@ -228,6 +240,12 @@ type Func struct {
 	Ret          lang.Type
 	Synchronized bool
 	Body         *Node // NSeq
+
+	// Frame layout, filled by resolve: an invocation runs on FrameSize
+	// slots, and incoming argument i (receiver first) binds ArgSlots[i].
+	FrameSize int
+	ArgSlots  []int32
+	resolved  bool
 }
 
 // Key returns "Class.Name".

@@ -1,6 +1,8 @@
 package jit
 
 import (
+	"slices"
+
 	"repro/internal/lang"
 	"repro/internal/profile"
 )
@@ -37,25 +39,14 @@ func passScalarReplace(ctx *Context) error {
 		if cf == nil {
 			continue
 		}
-		refField := false
-		var fields []string
-		for _, f := range cf.Fields {
-			if f.Static {
-				continue
-			}
-			if f.IsRef {
-				refField = true
-			}
-			fields = append(fields, f.Name)
-		}
-		if refField {
+		if slices.Contains(cf.Layout.Refs, true) {
 			continue // reference fields would need a null constant
 		}
 
 		// Rewrite the declaration into per-field scalar declarations.
 		repl := Seq()
 		repl.Prov = decl.Prov | FromScalarReplace
-		for _, f := range fields {
+		for _, f := range cf.Layout.Names {
 			repl.Kids = append(repl.Kids, &Node{Kind: NDecl, Name: name + "$" + f,
 				Ty: lang.Int, Prov: repl.Prov, Kids: []*Node{ConstInt(0)}})
 		}

@@ -138,6 +138,9 @@ func (c *Compiler) Compile(fn *bytecode.Function, tier vm.Tier, env vm.Env) (vm.
 	}
 	ctx.Emitf(profile.FlagPrintAssembly, "  # {method} %s::%s tier=%s compiled", fn.Class, fn.Name, tier)
 
+	// Resolve names to slots last: from here on f is read-only, shared
+	// through the cache by every execution of this program.
+	resolve(f, env.Image())
 	if useCache {
 		var trig []string
 		if ch != nil {
@@ -146,6 +149,12 @@ func (c *Compiler) Compile(fn *bytecode.Function, tier vm.Tier, env vm.Env) (vm.
 		}
 		c.Cache.put(key, &cacheEntry{fn: f, lines: capture.lines, cover: coverRec, trig: trig, ctx: ctx})
 	}
+	return c.newCompiled(f, env), nil
+}
+
+// newCompiled wraps a resolved Func in this execution's runtime state
+// (trap counters, frames, env).
+func (c *Compiler) newCompiled(f *Func, env vm.Env) *Compiled {
 	return &Compiled{
 		F:   f,
 		Env: env,
@@ -153,14 +162,14 @@ func (c *Compiler) Compile(fn *bytecode.Function, tier vm.Tier, env vm.Env) (vm.
 		Cov: &covSink{hit: func(name string) { c.Cov.Hit(name) }},
 
 		trapLimit: c.Opt.TrapLimit,
-	}, nil
+	}
 }
 
 // replay re-applies a cached compilation's side effects — profile lines
 // (re-gated by the current recorder), coverage regions, bug-trigger
 // state transitions, and the OnCompiled observation — and wraps the
 // shared optimized IR in a fresh Compiled carrying this execution's
-// runtime state (trap counters, env).
+// runtime state.
 func (c *Compiler) replay(e *cacheEntry, env vm.Env, ch CacheableHook) vm.CompiledMethod {
 	for _, l := range e.lines {
 		c.Log.AppendLine(l.flag, l.behaviors, l.text)
@@ -177,14 +186,7 @@ func (c *Compiler) replay(e *cacheEntry, env vm.Env, ch CacheableHook) vm.Compil
 		ctx.Log = c.Log
 		c.OnCompiled(&ctx)
 	}
-	return &Compiled{
-		F:   e.fn,
-		Env: env,
-		Log: c.Log,
-		Cov: &covSink{hit: func(name string) { c.Cov.Hit(name) }},
-
-		trapLimit: c.Opt.TrapLimit,
-	}
+	return c.newCompiled(e.fn, env)
 }
 
 // runTier drives one tier's compilation from its plan. The structural

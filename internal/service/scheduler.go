@@ -605,10 +605,12 @@ func (s *Scheduler) settleRemote(j *Job, out RemoteOutcome) {
 	j.rec.State = state
 	j.cancel = nil
 	rec := j.rec
-	j.mu.Unlock()
+	// Persist before releasing the job: whoever sees the terminal state
+	// in the live view must also find it on disk.
 	if err := s.store.Save(&rec); err != nil {
 		s.logf("job %s: persist final state: %v", id, err)
 	}
+	j.mu.Unlock()
 	s.broker.Publish(id, Event{Type: "state", State: state})
 	s.logf("job %s: %s (worker %s)", id, state, out.Worker)
 }
@@ -898,10 +900,12 @@ func (s *Scheduler) finishJob(j *Job, res *core.CampaignResult, runErr error, st
 	j.rec.State = state
 	j.cancel = nil
 	rec := j.rec
-	j.mu.Unlock()
+	// Persist before releasing the job: whoever sees the terminal state
+	// in the live view must also find it on disk.
 	if err := s.store.Save(&rec); err != nil {
 		s.logf("job %s: persist final state: %v", id, err)
 	}
+	j.mu.Unlock()
 	s.broker.Publish(id, Event{Type: "state", State: state})
 	s.logf("job %s: %s", id, state)
 }

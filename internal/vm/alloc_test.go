@@ -73,6 +73,9 @@ func TestInterpreterAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is noisy under -short test shuffling")
 	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race (sync.Pool drops pooled frames)")
+	}
 	img := compileForBench(t, callHeavySrc)
 	var out *Result
 	allocs := testing.AllocsPerRun(5, func() {
@@ -90,5 +93,90 @@ func TestInterpreterAllocBudget(t *testing.T) {
 	const budget = 800
 	if allocs > budget {
 		t.Errorf("interpreter run allocated %.0f times, budget %d — per-call allocations are back in the hot loop", allocs, budget)
+	}
+}
+
+// objectHeavySrc allocates objectHeavyN three-field objects, each read
+// and written through its fields and a static, with GC cycles running
+// throughout.
+const objectHeavySrc = `
+class P {
+  int a;
+  int b;
+  P next;
+  static int count;
+  static void main() {
+    long sum = 0;
+    P prev = new P();
+    for (int i = 0; i < 2000; i += 1) {
+      P p = new P();
+      p.a = i;
+      p.b = p.a + 1;
+      p.next = prev;
+      P.count = P.count + p.b;
+      sum = sum + p.a;
+      prev = p;
+    }
+    print(sum);
+    print(P.count);
+  }
+}`
+
+const objectHeavyN = 2000
+
+// BenchmarkObjectHeavy measures the interpreter on the object-heavy
+// workload; allocs/op is what per-class layouts drive down (one object
+// plus one field slice per allocation, no per-object maps).
+func BenchmarkObjectHeavy(b *testing.B) {
+	img := compileForBench(b, objectHeavySrc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := NewMachine(img, Config{GCEvery: 500}).Run()
+		if res.Crash != nil || res.Exception != nil {
+			b.Fatalf("bad result: %+v", res)
+		}
+	}
+}
+
+// TestObjectAllocBudget pins the cost of an object: at most two Go
+// allocations (the Object and its slot slice) per allocation site hit,
+// plus a constant for the machine, its output, and GC bookkeeping. A
+// per-object map or a per-access name lookup that allocates would blow
+// it. Static reads and writes through resolved slots allocate nothing.
+func TestObjectAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is noisy under -short test shuffling")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race (sync.Pool drops pooled frames)")
+	}
+	img := compileForBench(t, objectHeavySrc)
+	var out *Result
+	allocs := testing.AllocsPerRun(5, func() {
+		out = NewMachine(img, Config{GCEvery: 500}).Run()
+	})
+	if out.Crash != nil || out.Exception != nil {
+		t.Fatalf("bad result: %+v", out)
+	}
+	if want := []string{"1999000", "2001000"}; len(out.Output) != 2 || out.Output[0] != want[0] || out.Output[1] != want[1] {
+		t.Fatalf("output = %v, want %v", out.Output, want)
+	}
+	if out.GCCycles == 0 {
+		t.Fatal("workload ran no GC cycle")
+	}
+	const constant = 300
+	if budget := 2*objectHeavyN + constant; allocs > float64(budget) {
+		t.Errorf("object-heavy run allocated %.0f times for %d objects, budget %d", allocs, objectHeavyN, budget)
+	}
+
+	m := NewMachine(img, Config{})
+	ref := refFor(t, img, "P", "count", true)
+	v := IntVal(7)
+	if n := testing.AllocsPerRun(100, func() {
+		m.SetStatic(ref, v)
+		v = m.GetStatic(ref)
+	}); n != 0 {
+		t.Errorf("GetStatic/SetStatic allocated %.1f times per call pair, want 0", n)
 	}
 }

@@ -47,9 +47,10 @@ type Env interface {
 	NewBox(v int64) Value
 	NewArray(n int64) Value
 
-	// Statics.
-	GetStatic(class, field string) Value
-	SetStatic(class, field string, v Value)
+	// Statics, through a ref resolved against the image (Slot -1 for
+	// a name no declaration matches).
+	GetStatic(ref bytecode.FieldRef) Value
+	SetStatic(ref bytecode.FieldRef, v Value)
 
 	// Interned string monitors (string literals lock a shared object).
 	StringMonitor(s string) *Object

@@ -1,13 +1,51 @@
 package vm
 
+import "repro/internal/bytecode"
+
 // Object is a heap-allocated class instance. BoxVal holds the wrapped
 // int when the object is a java.lang.Integer box.
+//
+// Fields is slot-indexed by the class's layout. A name the layout does
+// not declare (a seeded miscompilation can access one) lives in the
+// overflow map, so reads and writes behave exactly as a map keyed by
+// field name would: an unwritten name reads as the zero Value{}.
 type Object struct {
-	Class  string
-	Fields map[string]Value
-	Mon    Monitor
-	BoxVal int64
-	marked bool
+	Class    string
+	Fields   []Value
+	Mon      Monitor
+	BoxVal   int64
+	layout   *bytecode.Layout // nil for boxes, monitors, and unknown classes
+	overflow map[string]Value
+	marked   bool
+}
+
+// Field reads a field through a site resolved to (classID, slot). The
+// slot is used only when o's class is the class the site was resolved
+// against; any other receiver is looked up by name.
+func (o *Object) Field(classID, slot int32, name string) Value {
+	if l := o.layout; l != nil && l.ID == classID {
+		return o.Fields[slot]
+	}
+	if s := o.layout.Slot(name); s >= 0 {
+		return o.Fields[s]
+	}
+	return o.overflow[name]
+}
+
+// SetField writes a field through a resolved site (see Field).
+func (o *Object) SetField(classID, slot int32, name string, v Value) {
+	if l := o.layout; l != nil && l.ID == classID {
+		o.Fields[slot] = v
+		return
+	}
+	if s := o.layout.Slot(name); s >= 0 {
+		o.Fields[s] = v
+		return
+	}
+	if o.overflow == nil {
+		o.overflow = map[string]Value{}
+	}
+	o.overflow[name] = v
 }
 
 // Array is a heap-allocated int array.
@@ -36,8 +74,8 @@ type Heap struct {
 	AllocCount int   // total allocations
 	Units      int64 // cumulative allocation units: objects + boxes + array elements
 	GCEvery    int   // allocations between collections (0 = never)
-	GCCycles   int // collections performed
-	Freed      int // cells reclaimed across all cycles
+	GCCycles   int   // collections performed
+	Freed      int   // cells reclaimed across all cycles
 	sinceGC    int
 	onGC       func(live, freed int)
 }
@@ -50,14 +88,19 @@ func NewHeap(gcEvery int) *Heap {
 // SetGCHook installs a callback invoked after each collection.
 func (h *Heap) SetGCHook(fn func(live, freed int)) { h.onGC = fn }
 
-// NewObject allocates an instance of class with zeroed fields.
-func (h *Heap) NewObject(class string, refFields map[string]bool) *Object {
-	o := &Object{Class: class, Fields: map[string]Value{}}
-	for name, isRef := range refFields {
-		if isRef {
-			o.Fields[name] = NullVal()
-		} else {
-			o.Fields[name] = IntVal(0)
+// NewObject allocates an instance with the layout's zero fields; a nil
+// layout (a class absent from the image) gives an object whose every
+// field lives in the overflow map.
+func (h *Heap) NewObject(class string, layout *bytecode.Layout) *Object {
+	o := &Object{Class: class, layout: layout}
+	if layout != nil && len(layout.Refs) > 0 {
+		o.Fields = make([]Value, len(layout.Refs))
+		for i, isRef := range layout.Refs {
+			if isRef {
+				o.Fields[i] = Value{Kind: KNull}
+			} else {
+				o.Fields[i] = Value{Kind: KInt}
+			}
 		}
 	}
 	h.objects = append(h.objects, o)
@@ -150,6 +193,9 @@ func markObject(o *Object) {
 	}
 	o.marked = true
 	for _, f := range o.Fields {
+		markValue(f)
+	}
+	for _, f := range o.overflow {
 		markValue(f)
 	}
 }

@@ -211,7 +211,7 @@ func (m *Machine) interpret(fn *bytecode.Function, args []Value) (Value, error) 
 
 		case bytecode.GetField:
 			recv := pop()
-			v, thr := getFieldOf(recv, fn.Fields[ins.A].Name)
+			v, thr := getFieldOf(recv, &fn.Fields[ins.A])
 			if thr != nil {
 				if h := raise(thr); h >= 0 {
 					pc = h
@@ -234,13 +234,12 @@ func (m *Machine) interpret(fn *bytecode.Function, args []Value) (Value, error) 
 			if val.IsRef() {
 				m.trace("gc.barriers")
 			}
-			recv.Obj.Fields[fn.Fields[ins.A].Name] = val
+			ref := &fn.Fields[ins.A]
+			recv.Obj.SetField(ref.ClassID, ref.Slot, ref.Name, val)
 		case bytecode.GetStatic:
-			ref := fn.Fields[ins.A]
-			push(m.GetStatic(ref.Class, ref.Name))
+			push(m.GetStatic(fn.Fields[ins.A]))
 		case bytecode.PutStatic:
-			ref := fn.Fields[ins.A]
-			m.SetStatic(ref.Class, ref.Name, pop())
+			m.SetStatic(fn.Fields[ins.A], pop())
 
 		case bytecode.ALoad:
 			idx, arr := pop(), pop()
@@ -317,7 +316,7 @@ func (m *Machine) interpret(fn *bytecode.Function, args []Value) (Value, error) 
 				push(ret)
 			}
 		case bytecode.ReflectGetF:
-			ref := fn.Fields[ins.A]
+			ref := &fn.Fields[ins.A]
 			m.trace("runtime.reflection")
 			for i := 0; i < 4; i++ {
 				if err := m.Step(); err != nil {
@@ -325,10 +324,10 @@ func (m *Machine) interpret(fn *bytecode.Function, args []Value) (Value, error) 
 				}
 			}
 			if ref.Static {
-				push(m.GetStatic(ref.Class, ref.Name))
+				push(m.GetStatic(*ref))
 			} else {
 				recv := pop()
-				v, thr := getFieldOf(recv, ref.Name)
+				v, thr := getFieldOf(recv, ref)
 				if thr != nil {
 					if h := raise(thr); h >= 0 {
 						pc = h
@@ -403,11 +402,11 @@ func (m *Machine) interpret(fn *bytecode.Function, args []Value) (Value, error) 
 	}
 }
 
-func getFieldOf(recv Value, name string) (Value, *Thrown) {
+func getFieldOf(recv Value, ref *bytecode.FieldRef) (Value, *Thrown) {
 	if recv.Kind != KObj || recv.Obj == nil {
 		return Value{}, &Thrown{Code: bytecode.ExcNullPointer}
 	}
-	return recv.Obj.Fields[name], nil
+	return recv.Obj.Field(ref.ClassID, ref.Slot, ref.Name), nil
 }
 
 func arrayLoad(arr Value, idx int64) (Value, *Thrown) {

@@ -126,9 +126,10 @@ type Machine struct {
 	cfg  Config
 	Heap *Heap
 
-	statics   map[string]Value
-	strMons   map[string]*Object
-	classMons map[string]*Object
+	statics    []Value          // indexed like img.Statics
+	undeclared map[string]Value // statics no declaration matches, by "Class.field"
+	strMons    map[string]*Object
+	classMons  map[string]*Object
 
 	output []string
 	steps  int64
@@ -205,8 +206,8 @@ func (m *Machine) getArgs(n int) []Value {
 }
 
 // putArgs returns a buffer once the call has copied the values out
-// (interpreted frames copy into locals, compiled code into its scope
-// stack — neither retains the slice).
+// (interpreted frames copy into locals, compiled code into its
+// frame — neither retains the slice).
 func (m *Machine) putArgs(buf []Value) {
 	clear(buf[:cap(buf)])
 	m.argBufs = append(m.argBufs, buf)
@@ -224,7 +225,7 @@ func NewMachine(img *bytecode.Image, cfg Config) *Machine {
 		img:       img,
 		cfg:       cfg,
 		Heap:      NewHeap(cfg.GCEvery),
-		statics:   map[string]Value{},
+		statics:   make([]Value, len(img.Statics)),
 		strMons:   map[string]*Object{},
 		classMons: map[string]*Object{},
 		profiles:  map[string]*MethodProfile{},
@@ -233,15 +234,11 @@ func NewMachine(img *bytecode.Image, cfg Config) *Machine {
 		deopts:    map[string]int{},
 	}
 	m.Heap.SetGCHook(cfg.OnGC)
-	for _, c := range img.Classes {
-		for _, f := range c.Fields {
-			if f.Static {
-				if f.IsRef {
-					m.statics[c.Name+"."+f.Name] = NullVal()
-				} else {
-					m.statics[c.Name+"."+f.Name] = IntVal(0)
-				}
-			}
+	for i, s := range img.Statics {
+		if s.IsRef {
+			m.statics[i] = NullVal()
+		} else {
+			m.statics[i] = IntVal(0)
 		}
 	}
 	return m
@@ -411,15 +408,11 @@ func (m *Machine) classMonitor(class string) *Object {
 
 // NewObject allocates a class instance with zeroed fields.
 func (m *Machine) NewObject(class string) Value {
-	refFields := map[string]bool{}
+	var layout *bytecode.Layout
 	if cf := m.img.Class(class); cf != nil {
-		for _, f := range cf.Fields {
-			if !f.Static {
-				refFields[f.Name] = f.IsRef
-			}
-		}
+		layout = cf.Layout
 	}
-	v := ObjVal(m.Heap.NewObject(class, refFields))
+	v := ObjVal(m.Heap.NewObject(class, layout))
 	m.trace("runtime.objects")
 	m.trace("gc.alloc.fast")
 	m.maybeGC()
@@ -459,7 +452,8 @@ func (m *Machine) maybeGC() {
 		m.trace("gc.roots.frames")
 	}
 	roots := m.rootsBuf[:0]
-	for _, v := range m.statics {
+	roots = append(roots, m.statics...)
+	for _, v := range m.undeclared {
 		roots = append(roots, v)
 	}
 	for _, f := range m.frames {
@@ -476,15 +470,27 @@ func (m *Machine) maybeGC() {
 	m.rootsBuf = roots
 }
 
-// GetStatic reads a static field.
-func (m *Machine) GetStatic(class, field string) Value {
+// GetStatic reads a static field through its resolved slot; a ref no
+// declaration matches reads the undeclared map (zero Value{} if never
+// written).
+func (m *Machine) GetStatic(ref bytecode.FieldRef) Value {
 	m.trace("runtime.statics")
-	return m.statics[class+"."+field]
+	if ref.Slot >= 0 {
+		return m.statics[ref.Slot]
+	}
+	return m.undeclared[ref.Class+"."+ref.Name]
 }
 
-// SetStatic writes a static field.
-func (m *Machine) SetStatic(class, field string, v Value) {
-	m.statics[class+"."+field] = v
+// SetStatic writes a static field (see GetStatic).
+func (m *Machine) SetStatic(ref bytecode.FieldRef, v Value) {
+	if ref.Slot >= 0 {
+		m.statics[ref.Slot] = v
+		return
+	}
+	if m.undeclared == nil {
+		m.undeclared = map[string]Value{}
+	}
+	m.undeclared[ref.Class+"."+ref.Name] = v
 }
 
 // StringMonitor interns the shared lock object for a string literal.
@@ -510,7 +516,7 @@ func (m *Machine) Call(ref bytecode.MethodRef, recv Value, args []Value) (Value,
 		}
 		// Prepend the receiver via the argument freelist: callees copy
 		// the values out (interpreted frames into locals, compiled code
-		// into its scope stack) before returning, so the buffer is free
+		// into its frame) before returning, so the buffer is free
 		// again once CallFunction completes.
 		callArgs = m.getArgs(len(args) + 1)
 		callArgs[0] = recv

@@ -380,9 +380,9 @@ func TestValueHelpers(t *testing.T) {
 
 func TestHeapMarkSweep(t *testing.T) {
 	h := NewHeap(0)
-	a := h.NewObject("T", map[string]bool{"x": true})
+	a := h.NewObject("T", &bytecode.Layout{Names: []string{"x"}, Refs: []bool{true}})
 	b := h.NewObject("T", nil)
-	a.Fields["x"] = ObjVal(b)
+	a.Fields[0] = ObjVal(b)
 	c := h.NewObject("T", nil) // garbage
 	_ = c
 	arr := h.NewArray(3)
