@@ -439,7 +439,7 @@ func TestBreakerCutsOffDeadWorker(t *testing.T) {
 		breaker: &harness.Breaker{
 			Threshold: 2,
 			Cooldown:  time.Hour,
-			OnOpen:    e.coord.metrics.breakerOpened,
+			OnOpen:    e.coord.breakerOpens.Inc,
 		},
 	}
 	e.coord.mu.Unlock()

@@ -88,7 +88,7 @@ func TestSchedulerRunsJobToDone(t *testing.T) {
 	if rec.State != StateDone || rec.Result == nil || rec.Result.Executions != v.Result.Executions {
 		t.Errorf("persisted record = %+v", rec)
 	}
-	if got := s.Metrics().Executions(); got < 60 {
+	if got := s.metrics.executions.Value(); got < 60 {
 		t.Errorf("metrics executions = %d, want >= 60", got)
 	}
 	// The findings report is servable after the run (store re-opened).
