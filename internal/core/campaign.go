@@ -825,13 +825,6 @@ func saveCampaign(path string, sup *harness.Supervisor, res *CampaignResult,
 		Quarantined: sup.Q.IDs(),
 		State:       raw,
 	}
-	if st.Generate != nil {
-		// Generator-bearing snapshots stamp v4; schedule-only ones v3;
-		// plain ones keep v2 so off-mode checkpoints stay byte-identical.
-		ck.Version = harness.CheckpointVersionGenerate
-	} else if st.Schedule != nil {
-		ck.Version = harness.CheckpointVersionScheduled
-	}
 	return ck.Save(path)
 }
 

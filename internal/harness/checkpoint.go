@@ -6,25 +6,18 @@ import (
 	"os"
 )
 
-// checkpointVersion guards the snapshot schema; a mismatched version is
-// rejected rather than silently misread. v2 added finding provenance
-// (cursor, round, mutation-chain length), the final-mutant OBV, and the
-// divergence site to the campaign's finding snapshots.
-const checkpointVersion = 2
-
-// CheckpointVersionScheduled (v3) marks snapshots whose campaign state
-// carries power-schedule arm statistics. The envelope is otherwise
-// identical to v2; campaigns stamp v3 only when a schedule block is
-// present, so schedule-free checkpoints stay byte-identical to
-// pre-schedule builds, and decoding accepts both.
-const CheckpointVersionScheduled = 3
-
-// CheckpointVersionGenerate (v4) marks snapshots whose campaign state
-// carries generator-subsystem state (emission counts, pool-slot
-// overlay, pinned template extras). Same envelope; campaigns stamp v4
-// only when a generate block is present, so generator-free checkpoints
-// stay byte-identical to older builds.
-const CheckpointVersionGenerate = 4
+// checkpointVersion is the snapshot schema every Save stamps. v2 added
+// finding provenance (cursor, round, mutation-chain length), the
+// final-mutant OBV, and the divergence site to the campaign's finding
+// snapshots; v3 and v4 added the optional power-schedule and generator
+// sections of the campaign state. A v2 or v3 snapshot is therefore a v4
+// one with those sections absent, so decoding accepts every version
+// from oldestCheckpointVersion on and checkpoints already on disk still
+// resume. Any other version is rejected rather than silently misread.
+const (
+	checkpointVersion       = 4
+	oldestCheckpointVersion = 2
+)
 
 // Checkpoint is a campaign snapshot. The harness owns the envelope
 // (task cursor, execution count, quarantine index); the campaign owns
@@ -44,9 +37,7 @@ type Checkpoint struct {
 // Save writes the checkpoint atomically (temp file + rename), so an
 // interruption mid-flush leaves the previous snapshot intact.
 func (c *Checkpoint) Save(path string) error {
-	if c.Version != CheckpointVersionScheduled && c.Version != CheckpointVersionGenerate {
-		c.Version = checkpointVersion
-	}
+	c.Version = checkpointVersion
 	data, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {
 		return fmt.Errorf("harness: checkpoint encode: %w", err)
@@ -74,9 +65,9 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if err := json.Unmarshal(data, &c); err != nil {
 		return nil, fmt.Errorf("harness: checkpoint decode: %w", err)
 	}
-	if c.Version != checkpointVersion && c.Version != CheckpointVersionScheduled && c.Version != CheckpointVersionGenerate {
-		return nil, fmt.Errorf("harness: checkpoint version %d, want %d, %d, or %d",
-			c.Version, checkpointVersion, CheckpointVersionScheduled, CheckpointVersionGenerate)
+	if c.Version < oldestCheckpointVersion || c.Version > checkpointVersion {
+		return nil, fmt.Errorf("harness: checkpoint version %d, want %d to %d",
+			c.Version, oldestCheckpointVersion, checkpointVersion)
 	}
 	if c.TaskCursor < 0 || c.Executions < 0 {
 		return nil, fmt.Errorf("harness: checkpoint has negative cursor/executions")

@@ -213,7 +213,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 	// A wrong version is rejected, not misread.
 	raw, _ := os.ReadFile(path)
-	bad := strings.Replace(string(raw), `"version": 2`, `"version": 999`, 1)
+	bad := strings.Replace(string(raw), `"version": 4`, `"version": 999`, 1)
 	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
 		t.Fatal(err)
 	}
