@@ -5,9 +5,8 @@ import (
 	"io"
 	"sort"
 
-	"repro/internal/baselines"
 	"repro/internal/buginject"
-	"repro/internal/corpus"
+	"repro/internal/jit"
 )
 
 // Recall runs a long multi-version campaign and reports ground-truth
@@ -17,38 +16,8 @@ import (
 // measurement, and the long-horizon sanity check that every bug class
 // is reachable.
 func Recall(w io.Writer, budget Budget) {
-	seeds := pool(budget)
 	targets := allTargets()
-	detected := map[string]int{} // bug ID -> executions at detection
-	execs := 0
-	idx := int64(0)
-	parsed := corpus.NewParseCache() // parse each seed once, not once per round
-	for execs < budget.Executions {
-		progressed := false
-		for i, seed := range seeds {
-			if execs >= budget.Executions {
-				break
-			}
-			idx++
-			tool := budget.withExecutor(baselines.NewMopFuzzer(targets[(int(idx)+i)%len(targets)], nil))
-			fr, err := tool.FuzzSeed(seed.Name, parsed.Parse(seed), budget.Seed*104729+idx)
-			if err != nil {
-				continue
-			}
-			progressed = true
-			execs += fr.Executions
-			for _, fd := range fr.Findings {
-				if fd.Bug != nil {
-					if _, ok := detected[fd.Bug.ID]; !ok {
-						detected[fd.Bug.ID] = execs
-					}
-				}
-			}
-		}
-		if !progressed {
-			break
-		}
-	}
+	detected := recallDetected(budget, jit.PlanDefault) // bug ID -> executions at detection
 
 	type row struct {
 		impl      buginject.Impl
