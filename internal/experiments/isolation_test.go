@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/jit"
 )
@@ -31,7 +32,10 @@ import (
 func TestCampaignIsolatedFromPriorWork(t *testing.T) {
 	budget := Budget{Executions: 300, Seeds: 8, Seed: 1}
 	leg := func() string {
-		detected, execs := scheduleDetected(budget, corpus.SchedulePower, jit.PlanFull)
+		detected, _, execs := campaignDetected(budget, func(c *core.CampaignConfig) {
+			c.Fuzz.PlanFuzz = jit.PlanFull
+			c.SeedSchedule = corpus.SchedulePower
+		})
 		b, err := json.Marshal(detected)
 		if err != nil {
 			t.Fatal(err)
